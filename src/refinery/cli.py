@@ -373,6 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         config = load_config(args.config, overrides=args.overrides)
     except (ConfigError, OSError) as exc:
         print(f"refinery: config error: {exc}", file=sys.stderr)

@@ -66,9 +66,14 @@ class PipelineConfig:
     eval_agg: EvalAggSettings = field(default_factory=EvalAggSettings)
 
 
+def _mapping(value: Any, where: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
 def _build(dc_type, mapping: dict[str, Any], where: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(mapping).__name__}")
+    mapping = _mapping(mapping, where)
     known = {f.name for f in fields(dc_type)}
     unknown = set(mapping) - known
     if unknown:
@@ -90,7 +95,7 @@ def _parse_sections(raw: dict[str, Any]) -> PipelineConfig:
     if "dedup" in data:
         sections["dedup"] = _build(DedupParams, data.pop("dedup"), "dedup")
     if "wds" in data:
-        wds_raw = dict(data.pop("wds"))
+        wds_raw = _mapping(data.pop("wds"), "wds")
         min_level = wds_raw.pop("min_level", None)
         sections["wds"] = WdsSettings(
             scoring=_build(WdsConfig, wds_raw, "wds"), min_level=min_level
@@ -104,7 +109,7 @@ def _parse_sections(raw: dict[str, Any]) -> PipelineConfig:
             AnalyticsSettings, data.pop("analytics"), "analytics"
         )
     if "eval_agg" in data:
-        ea_raw = dict(data.pop("eval_agg"))
+        ea_raw = _mapping(data.pop("eval_agg"), "eval_agg")
         thresholds_raw = ea_raw.pop("thresholds", {})
         ea_raw["thresholds"] = _build(
             SelectionThresholds, thresholds_raw, "eval_agg.thresholds"
@@ -158,7 +163,25 @@ def _apply_overrides(raw: dict[str, Any], overrides: Iterable[str]) -> None:
             if not isinstance(child, dict):
                 raise ConfigError(f"override {key!r}: {part!r} is not a section")
             node = child
-        node[leaf] = yaml.safe_load(value)
+        try:
+            node[leaf] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {key!r}: {_one_line(exc)}") from exc
+
+
+def _one_line(exc: Exception) -> str:
+    mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+    if mark is not None and problem:
+        return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    return " ".join(str(exc).split())
+
+
+def _check_int(value: Any, where: str, low: int, high: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{where}: must be {bound}, got {value}")
 
 
 def load_config(
@@ -176,16 +199,18 @@ def load_config(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if path.suffix == ".json":
-        raw = json.loads(text)
-    else:
-        raw = yaml.safe_load(text)
+    try:
+        raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {_one_line(exc)}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _apply_overrides(raw, overrides)
     config = _parse_sections(raw)
-    if config.workers < 1:
-        raise ConfigError("workers: must be >= 1")
+    _check_int(config.workers, "workers", 1)
+    _check_int(config.packaging.compression_level, "packaging.compression_level", 1, 22)
+    if config.wds.min_level is not None:
+        _check_int(config.wds.min_level, "wds.min_level", 0, 10)
     if check_paths:
         validate_paths(config, path.parent)
     return config

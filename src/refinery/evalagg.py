@@ -458,15 +458,21 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
     Score rows carry model, task, prompt, checkpoint_tokens, score.
     """
     meta_raw = json.loads(Path(meta_path).read_text(encoding="utf-8"))
-    tasks = {
-        name: TaskMeta(
-            random_baseline=float(entry["random_baseline"]),
-            max_score=float(entry["max_score"]),
-            category=entry["category"],
-            language=entry["language"],
-        )
-        for name, entry in meta_raw.items()
-    }
+    tasks = {}
+    for name, entry in meta_raw.items():
+        try:
+            tasks[name] = TaskMeta(
+                random_baseline=float(entry["random_baseline"]),
+                max_score=float(entry["max_score"]),
+                category=entry["category"],
+                language=entry["language"],
+            )
+        except KeyError as exc:
+            raise GridError(
+                f"{meta_path}: task {name!r} is missing field {exc.args[0]!r}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"{meta_path}: task {name!r}: {exc}") from exc
 
     scores_path = Path(scores_path)
     rows: list[dict] = []
@@ -486,9 +492,15 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
                 row["prompt"],
                 int(row["checkpoint_tokens"]),
             )
-            scores[cell] = float(row["score"])
+            score = float(row["score"])
         except (KeyError, ValueError) as exc:
             raise GridError(f"bad score row {row!r}: {exc}") from exc
+        if cell in scores:
+            raise GridError(
+                f"duplicate score row {row!r}: (model, task, prompt, "
+                "checkpoint_tokens) already has a score"
+            )
+        scores[cell] = score
     return EvalGrid(scores, tasks)
 
 

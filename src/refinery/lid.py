@@ -6,18 +6,29 @@ language classifier. The built-in fallback classifier is a character
 n-gram multinomial scorer trained on seed text per language, so the whole
 pipeline runs offline; an external model can replace it by implementing
 the two-method contract below.
+
+The built-in scorer keeps its log-probabilities as one dense matrix with a
+row per known n-gram and a column per label, plus a last row of unseen-gram
+fallbacks: a prediction is one n-gram extraction and one gather over that
+matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
+Web text repeats header and footer lines, so predictions are remembered
+for up to ``_MEMO_LIMIT`` distinct short inputs per classifier.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from .documents import Document, segment_text
 
@@ -27,12 +38,20 @@ from .documents import Document, segment_text
 # characters so the output is uppercase-free by construction.
 _KEEP_CATEGORIES = frozenset({"Ll", "Lm", "Lo", "Mn", "Mc", "Me"})
 
+# Distinct normalized inputs whose prediction a classifier remembers; once
+# the memo is full, further inputs are scored without being stored. Only
+# inputs up to _MEMO_MAX_CHARS long are stored: repeated boilerplate lines
+# are short, whole documents rarely repeat, and the cap bounds the memo's
+# memory by size as well as by count.
+_MEMO_LIMIT = 65_536
+_MEMO_MAX_CHARS = 256
+
 
 class ClassifierError(Exception):
     """Classifier could not be loaded or failed to produce a prediction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LangPrediction:
     label: str
     confidence: float
@@ -42,9 +61,18 @@ class LangPrediction:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-@lru_cache(maxsize=None)
-def _is_word_char(ch: str) -> bool:
-    return unicodedata.category(ch) in _KEEP_CATEGORIES
+class _WordCharTable(dict):
+    """``str.translate`` table, filled on first sight of each code point:
+    word characters map to themselves, every other character to a space."""
+
+    def __missing__(self, code_point: int) -> str:
+        ch = chr(code_point)
+        mapped = ch if unicodedata.category(ch) in _KEEP_CATEGORIES else " "
+        self[code_point] = mapped
+        return mapped
+
+
+_WORD_CHARS = _WordCharTable()
 
 
 def normalize_for_lid(text: str) -> str:
@@ -55,8 +83,7 @@ def normalize_for_lid(text: str) -> str:
     pass with trimming. Idempotent.
     """
     collapsed = " ".join(text.split())
-    lowered = collapsed.lower()
-    kept = "".join(ch if ch == " " or _is_word_char(ch) else " " for ch in lowered)
+    kept = collapsed.lower().translate(_WORD_CHARS)
     return " ".join(kept.split())
 
 
@@ -100,11 +127,14 @@ def profile_segments(doc: Document, model: LanguageClassifier) -> SegmentProfile
 
 
 def _char_ngrams(text: str, orders: tuple[int, ...]) -> Counter:
-    grams: Counter = Counter()
-    for n in orders:
-        for i in range(len(text) - n + 1):
-            grams[text[i : i + n]] += 1
-    return grams
+    """Counts of every n-gram of each order, keyed in first-occurrence order
+    (all grams of the first order, then of the next)."""
+    level = list(text)
+    by_order = {1: level}
+    for n in range(2, max(orders, default=1) + 1):
+        # Each order-n gram is an order-(n-1) gram plus the next character.
+        level = by_order[n] = list(map(add, level, text[n - 1 :]))
+    return Counter(chain.from_iterable(by_order[n] for n in orders))
 
 
 class NgramLanguageClassifier:
@@ -125,6 +155,23 @@ class NgramLanguageClassifier:
         self._fallback = fallback_log_probs
         self._orders = orders
         self._labels = tuple(sorted(log_probs))
+        # Row per known gram, column per label; row ``len(rows)`` holds each
+        # label's fallback, which also fills the grams a label never saw.
+        rows: dict[str, int] = {}
+        for label in self._labels:
+            for gram in log_probs[label]:
+                rows.setdefault(gram, len(rows))
+        matrix = np.tile(
+            np.array([fallback_log_probs[lb] for lb in self._labels], dtype=np.float64),
+            (len(rows) + 1, 1),
+        )
+        for column, label in enumerate(self._labels):
+            table = log_probs[label]
+            matrix[[rows[g] for g in table], column] = list(table.values())
+        self._rows = rows
+        self._matrix = matrix
+        self._memo: dict[str, LangPrediction] = {}
+        self._memo_lock = threading.Lock()  # --workers threads share a model
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -159,18 +206,27 @@ class NgramLanguageClassifier:
     def predict(self, normalized_text: str) -> LangPrediction:
         if not normalized_text:
             return LangPrediction("und", 0.0)
+        known = self._memo.get(normalized_text)
+        if known is not None:
+            return known
         grams = _char_ngrams(normalized_text, self._orders)
-        scores = {}
-        for label in self._labels:
-            table = self._log_probs[label]
-            miss = self._fallback[label]
-            scores[label] = sum(
-                count * table.get(gram, miss) for gram, count in grams.items()
-            )
-        best = max(self._labels, key=lambda lb: (scores[lb], lb))
-        peak = scores[best]
-        denom = sum(math.exp(s - peak) for s in scores.values())
-        return LangPrediction(best, 1.0 / denom)
+        n = len(grams)
+        rows = np.fromiter(
+            map(self._rows.get, grams, repeat(len(self._rows))), dtype=np.intp, count=n
+        )
+        counts = np.fromiter(grams.values(), dtype=np.float64, count=n)
+        # Reducing over axis 0 adds each label's terms gram after gram, as a
+        # per-gram loop does, so the scores match that loop bit for bit (a
+        # matrix product would reorder the additions).
+        scores = (self._matrix[rows] * counts[:, None]).sum(axis=0).tolist()
+        peak, best = max(zip(scores, self._labels))
+        denom = sum(math.exp(s - peak) for s in scores)
+        prediction = LangPrediction(best, 1.0 / denom)
+        if len(normalized_text) <= _MEMO_MAX_CHARS:
+            with self._memo_lock:
+                if len(self._memo) < _MEMO_LIMIT:
+                    self._memo[normalized_text] = prediction
+        return prediction
 
     def save(self, path: str | Path) -> None:
         payload = {

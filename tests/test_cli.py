@@ -89,6 +89,32 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.json", '{"input": "corpus.jsonl",'),
+        ("bad.yaml", "input: [corpus.jsonl\nlanguage: aaa_Latn\n"),
+        ("bad.json", '{"input": "c.jsonl", "output_root": "o", "language": "l", "workers": "two"}'),
+    ],
+)
+def test_unusable_config_exits_2_with_one_line(tmp_path, capsys, name, text):
+    (tmp_path / "c.jsonl").write_text("")
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main(["all", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_workers_flag_below_one_exits_2(tmp_path, capsys):
+    (tmp_path / "c.jsonl").write_text("")
+    config = tmp_path / "cfg.json"
+    config.write_text('{"input": "c.jsonl", "output_root": "o", "language": "l"}')
+    assert main(["lid", "--config", str(config), "--workers", "0"]) == 2
+    assert "config error: --workers" in capsys.readouterr().err
+
+
 def test_stage_failure_exits_1(tmp_path, capsys):
     (tmp_path / "corpus.jsonl").write_text(
         '{"id":"a","lang":"aaa_Latn","text":"hello"}\n'

@@ -113,3 +113,59 @@ def test_eval_agg_thresholds_parsed(tmp_path):
     assert config.eval_agg.thresholds.monotonicity == 0.7
     assert config.eval_agg.thresholds.low_noise == 2.0
     assert config.eval_agg.thresholds.prompt_lottery == 0.5
+
+
+def test_malformed_json_is_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"input": "corpus.jsonl",')
+    with pytest.raises(ConfigError, match="cannot parse config .*line 1"):
+        load_config(path)
+
+
+def test_malformed_yaml_is_config_error(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("input: [corpus.jsonl\noutput_root: out\n")
+    with pytest.raises(ConfigError, match="cannot parse config .*line 2") as info:
+        load_config(path)
+    assert "\n" not in str(info.value)
+
+
+def test_malformed_override_value_is_config_error(tmp_path):
+    path = _write(tmp_path, _minimal(tmp_path))
+    with pytest.raises(ConfigError, match="override 'workers'"):
+        load_config(path, overrides=["workers=["])
+
+
+@pytest.mark.parametrize("workers", ["two", 1.5, True, 0, -1])
+def test_workers_must_be_a_positive_integer(tmp_path, workers):
+    payload = {**_minimal(tmp_path), "workers": workers}
+    with pytest.raises(ConfigError, match="workers"):
+        load_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("level", [0, 23, 99, "9", 9.0])
+def test_compression_level_range_checked(tmp_path, level):
+    payload = {**_minimal(tmp_path), "packaging": {"compression_level": level}}
+    with pytest.raises(ConfigError, match="packaging.compression_level"):
+        load_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("level", [1, 22])
+def test_compression_level_bounds_accepted(tmp_path, level):
+    payload = {**_minimal(tmp_path), "packaging": {"compression_level": level}}
+    assert load_config(_write(tmp_path, payload)).packaging.compression_level == level
+
+
+@pytest.mark.parametrize(
+    "section, value, match",
+    [
+        ("wds", 5, "wds: expected a mapping"),
+        ("eval_agg", [], "eval_agg: expected a mapping"),
+        ("wds", {"min_level": "high"}, "wds.min_level: expected an integer"),
+        ("wds", {"min_level": 11}, "wds.min_level: must be in"),
+    ],
+)
+def test_malformed_sections_named(tmp_path, section, value, match):
+    payload = {**_minimal(tmp_path), section: value}
+    with pytest.raises(ConfigError, match=match):
+        load_config(_write(tmp_path, payload))

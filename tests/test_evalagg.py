@@ -404,6 +404,9 @@ class TestSelectTasks:
         )
 
 
+_META_ENTRY = {"random_baseline": 0.25, "max_score": 1.0, "category": "c", "language": "l"}
+
+
 class TestGridIo:
     def test_jsonl_and_csv_loaders_agree(self, tmp_path):
         rows = [
@@ -430,6 +433,32 @@ class TestGridIo:
         b = load_grid(csv_path, meta_path)
         assert a.scores == b.scores
         assert a.tasks == b.tasks
+
+    def test_duplicate_score_row_rejected(self, tmp_path):
+        meta_path = tmp_path / "tasks.json"
+        meta_path.write_text(json.dumps({"t": _META_ENTRY}))
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text(
+            "model,task,prompt,checkpoint_tokens,score\n"
+            "m,t,p,1,0.5\nm,t,p,2,0.7\nm,t,p,1,0.9\n"
+        )
+        with pytest.raises(GridError, match="duplicate score row .*'0.9'"):
+            load_grid(csv_path, meta_path)
+
+    def test_task_meta_missing_field_named(self, tmp_path):
+        entry = {k: v for k, v in _META_ENTRY.items() if k != "category"}
+        meta_path = tmp_path / "tasks.json"
+        meta_path.write_text(json.dumps({"t": _META_ENTRY, "u": entry}))
+        jsonl = tmp_path / "scores.jsonl"
+        jsonl.write_text("")
+        with pytest.raises(GridError, match="task 'u' is missing field 'category'"):
+            load_grid(jsonl, meta_path)
+        meta_path.write_text(json.dumps({"t": _META_ENTRY, "v": ["not", "a", "mapping"]}))
+        with pytest.raises(GridError, match="task 'v'"):
+            load_grid(jsonl, meta_path)
+        meta_path.write_text(json.dumps({"w": {**_META_ENTRY, "max_score": "high"}}))
+        with pytest.raises(GridError, match="task 'w'"):
+            load_grid(jsonl, meta_path)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(GridError):
