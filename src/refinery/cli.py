@@ -150,7 +150,9 @@ def stage_score(
     config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
-    model = _load_classifier(config, base)
+    # lid output carries seg_langs; the classifier is needed only without them.
+    needs_model = any(doc.seg_langs is None for doc in docs)
+    model = _load_classifier(config, base) if needs_model else None
 
     def process(doc: Document) -> Document:
         if doc.seg_langs is not None:

@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 Cell = tuple[str, str, str, int]  # (model, task, prompt, checkpoint_tokens)
 
@@ -41,51 +43,80 @@ class TaskMeta:
             )
 
 
+class TaskBlock:
+    """One task's cells as a dense ``[model, prompt, checkpoint]`` array.
+
+    The axes are the task's own sorted models, prompts and checkpoints.
+    ``present`` marks the scored cells; a missing cell holds ``-inf`` in
+    ``values``. ``best`` is the maximum over prompts per (model, checkpoint)
+    and ``scored`` says whether any prompt has a score there. ``at`` maps
+    each axis's keys to their positions.
+    """
+
+    def __init__(self, cells: list[tuple[Cell, float]]):
+        axes = [sorted({cell[k] for cell, _ in cells}) for k in (0, 2, 3)]
+        self.models, self.prompts, self.checkpoints = map(tuple, axes)
+        self.at = [{key: i for i, key in enumerate(axis)} for axis in axes]
+        model_at, prompt_at, checkpoint_at = self.at
+        index = tuple(np.array([(model_at[m], prompt_at[p], checkpoint_at[c])
+                                for (m, _, p, c), _ in cells]).T)
+        self.values = np.full(tuple(map(len, axes)), -np.inf)
+        self.values[index] = [score for _, score in cells]
+        self.present = np.zeros(self.values.shape, dtype=bool)
+        self.present[index] = True
+        self.best = self.values.max(axis=1)
+        self.scored = self.present.any(axis=1)
+
+
 @dataclass(frozen=True)
 class EvalGrid:
+    """Scores by cell plus task metadata, indexed once at construction into
+    ``blocks``, which every accessor reads; change no score afterwards."""
+
     scores: dict[Cell, float]
     tasks: dict[str, TaskMeta]
+    blocks: dict[str, TaskBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for (model, task, prompt, checkpoint), score in self.scores.items():
-            if task not in self.tasks:
-                raise GridError(f"score references unknown task {task!r}")
+        groups: dict[str, list[tuple[Cell, float]]] = {}
+        for cell, score in self.scores.items():
+            if cell[1] not in self.tasks:
+                raise GridError(f"score references unknown task {cell[1]!r}")
             if not math.isfinite(score):
-                raise GridError(
-                    f"non-finite score at ({model}, {task}, {prompt}, {checkpoint})"
-                )
+                raise GridError(f"non-finite score at ({', '.join(map(str, cell))})")
+            groups.setdefault(cell[1], []).append((cell, score))
+        object.__setattr__(self, "blocks", {t: TaskBlock(c) for t, c in groups.items()})
 
     @property
     def models(self) -> tuple[str, ...]:
-        return tuple(sorted({m for m, _, _, _ in self.scores}))
+        return tuple(sorted({m for b in self.blocks.values() for m in b.models}))
 
     @property
     def checkpoints(self) -> tuple[int, ...]:
-        return tuple(sorted({c for _, _, _, c in self.scores}))
+        return tuple(sorted({c for b in self.blocks.values() for c in b.checkpoints}))
 
     def task_checkpoints(self, task: str) -> tuple[int, ...]:
-        return tuple(sorted({c for _, t, _, c in self.scores if t == task}))
+        return self.blocks[task].checkpoints if task in self.blocks else ()
 
     def task_prompts(self, task: str) -> tuple[str, ...]:
-        return tuple(sorted({p for _, t, p, _ in self.scores if t == task}))
+        return self.blocks[task].prompts if task in self.blocks else ()
 
-    def prompt_scores(
-        self, model: str, task: str, checkpoint: int
-    ) -> dict[str, float]:
-        return {
-            p: s
-            for (m, t, p, c), s in self.scores.items()
-            if m == model and t == task and c == checkpoint
-        }
+    def prompt_scores(self, model: str, task: str, checkpoint: int) -> dict[str, float]:
+        block = self.blocks.get(task)
+        if block is None or model not in block.at[0] or checkpoint not in block.at[2]:
+            return {}
+        m, c = block.at[0][model], block.at[2][checkpoint]
+        values, scored = block.values[m, :, c].tolist(), block.present[m, :, c]
+        return {p: v for p, v, ok in zip(block.prompts, values, scored) if ok}
 
 
 def prompt_aggregate(grid: EvalGrid) -> dict[tuple[str, str, int], float]:
     """Maximum score across prompts, per (model, task, checkpoint)."""
     out: dict[tuple[str, str, int], float] = {}
-    for (model, task, _, checkpoint), score in grid.scores.items():
-        key = (model, task, checkpoint)
-        if key not in out or score > out[key]:
-            out[key] = score
+    for task, block in grid.blocks.items():
+        best = block.best.tolist()
+        for m, c in np.argwhere(block.scored).tolist():
+            out[(block.models[m], task, block.checkpoints[c])] = best[m][c]
     return out
 
 
@@ -116,24 +147,19 @@ def language_score(
     selected_tasks: Iterable[str] | None = None,
 ) -> float:
     """Two-level mean of final-checkpoint rescaled scores for one model."""
-    aggregated = prompt_aggregate(grid)
-    wanted = set(selected_tasks) if selected_tasks is not None else None
+    wanted = grid.tasks if selected_tasks is None else set(selected_tasks)
     by_category: dict[str, list[float]] = {}
     for task, meta in grid.tasks.items():
-        if meta.language != language:
+        if meta.language != language or task not in wanted or task not in grid.blocks:
             continue
-        if wanted is not None and task not in wanted:
-            continue
-        checkpoints = grid.task_checkpoints(task)
-        if not checkpoints:
-            continue
-        key = (model, task, checkpoints[-1])
-        if key not in aggregated:
+        block = grid.blocks[task]
+        m = block.at[0].get(model)
+        if m is None or not block.scored[m, -1]:
             raise GridError(
                 f"model {model!r} has no score for task {task!r} at the "
                 f"final checkpoint"
             )
-        value = rescale(aggregated[key], meta.random_baseline, meta.max_score)
+        value = rescale(block.best[m, -1].item(), meta.random_baseline, meta.max_score)
         by_category.setdefault(meta.category, []).append(value)
     if not by_category:
         raise GridError(f"language {language!r} has no scored tasks")
@@ -239,22 +265,14 @@ def kendall_tau(xs: list[float], ys: list[float]) -> float:
     """Kendall tau-b between two score vectors."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise GridError("kendall_tau needs two equal-length series of >= 2 points")
-    concordant = discordant = ties_x = ties_y = 0
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            if dx == 0 and dy == 0:
-                continue
-            if dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(len(x), k=1)
+    sx, sy = np.sign(x[i] - x[j]), np.sign(y[i] - y[j])
+    untied = (sx != 0) & (sy != 0)
+    concordant = int((untied & (sx == sy)).sum())
+    discordant = int(untied.sum()) - concordant
+    ties_x = int(((sx == 0) & (sy != 0)).sum())
+    ties_y = int(((sy == 0) & (sx != 0)).sum())
     denom = math.sqrt(
         (concordant + discordant + ties_x) * (concordant + discordant + ties_y)
     )
@@ -296,9 +314,7 @@ class TaskSelectionReport:
 
     def to_json(self) -> dict:
         def encode(value: float | None):
-            if value is None:
-                return None
-            if math.isinf(value):
+            if value is not None and math.isinf(value):
                 return "inf" if value > 0 else "-inf"
             return value
 
@@ -329,8 +345,14 @@ def _cv_of_deltas(series: list[float]) -> float:
     return math.sqrt(variance) / abs(mean)
 
 
-def _argmax_prompt(prompt_scores: dict[str, float]) -> str:
-    return max(sorted(prompt_scores), key=lambda p: prompt_scores[p])
+_AT_LEAST = ("monotonicity", "non_randomness", "ranking_consistency", "low_noise")
+
+
+def _passes(name: str, value: float | None, thresholds: SelectionThresholds) -> bool:
+    limit = getattr(thresholds, name)
+    if value is None or limit is None:
+        return True
+    return value >= limit if name in _AT_LEAST else value <= limit
 
 
 def select_tasks(
@@ -346,8 +368,6 @@ def select_tasks(
     thresholds = thresholds or SelectionThresholds()
     if ranking_mode not in ("consecutive", "vs_final"):
         raise GridError(f"unknown ranking_mode {ranking_mode!r}")
-    aggregated = prompt_aggregate(grid)
-    models = grid.models
     report: dict[str, dict[str, CriterionResult]] = {}
     selected: list[str] = []
 
@@ -358,92 +378,45 @@ def select_tasks(
             raise GridError(
                 f"task {task!r} has {len(checkpoints)} checkpoints; need >= 3"
             )
-        task_models = sorted({m for (m, t, c) in aggregated if t == task})
-        for m in task_models:
-            for c in checkpoints:
-                if (m, task, c) not in aggregated:
-                    raise GridError(
-                        f"model {m!r} is missing task {task!r} at checkpoint {c}"
-                    )
-        series = {
-            m: [aggregated[(m, task, c)] for c in checkpoints] for m in task_models
-        }
-        final = checkpoints[-1]
-
-        monotonicity = _mean(
-            [
-                spearman(list(map(float, range(len(checkpoints)))), series[m])
-                for m in task_models
-            ]
-        )
-        stable = _mean([_cv_of_deltas(series[m]) for m in task_models])
-        non_random = _mean(
-            [
-                rescale(series[m][-1], meta.random_baseline, meta.max_score)
-                for m in task_models
-            ]
-        )
-
-        if len(task_models) >= 2:
-            taus = []
-            pairs = (
-                list(zip(checkpoints, checkpoints[1:]))
-                if ranking_mode == "consecutive"
-                else [(c, final) for c in checkpoints[:-1]]
+        block = grid.blocks[task]
+        if not block.scored.all():
+            m, c = np.argwhere(~block.scored)[0]
+            raise GridError(
+                f"model {block.models[m]!r} is missing task {task!r} at "
+                f"checkpoint {checkpoints[c]}"
             )
-            for c_a, c_b in pairs:
-                a = [aggregated[(m, task, c_a)] for m in task_models]
-                b = [aggregated[(m, task, c_b)] for m in task_models]
-                taus.append(kendall_tau(a, b))
-            ranking = CriterionResult(_mean(taus), _mean(taus) >= thresholds.ranking_consistency)
-        else:
-            ranking = CriterionResult(None, True)
-
-        noise_values = []
-        mads = []
-        lottery_rates = []
-        for m in task_models:
-            final_prompts = grid.prompt_scores(m, task, final)
-            values = [final_prompts[p] for p in sorted(final_prompts)]
+        series = block.best.tolist()  # per model: max over prompts per checkpoint
+        ranking = None
+        if len(series) >= 2:
+            columns = [list(column) for column in zip(*series)]
+            later = columns[1:]
+            if ranking_mode == "vs_final":
+                later = [columns[-1]] * len(later)
+            ranking = _mean([kendall_tau(a, b) for a, b in zip(columns[:-1], later)])
+        # argmax keeps the first maximum, so ties go to the smallest prompt name.
+        winners = block.values.argmax(axis=1)
+        changes = (winners[:, 1:] != winners[:, :-1]).sum(axis=1).tolist()
+        noise_values, mads = [], []
+        for m, model_series in enumerate(series):
+            values = block.values[m, :, -1][block.present[m, :, -1]].tolist()
             med = median(values)
             mads.append(median([abs(v - med) for v in values]))
             spread = math.sqrt(_mean([(v - _mean(values)) ** 2 for v in values]))
-            final_score = series[m][-1]
-            noise_values.append(final_score / spread if spread else math.inf)
-            argmaxes = [
-                _argmax_prompt(grid.prompt_scores(m, task, c)) for c in checkpoints
-            ]
-            changes = sum(1 for a, b in zip(argmaxes, argmaxes[1:]) if a != b)
-            lottery_rates.append(changes / (len(checkpoints) - 1))
-        low_noise = _mean(noise_values)
-        low_sensitivity = _mean(mads)
-        lottery = _mean(lottery_rates)
-
+            noise_values.append(model_series[-1] / spread if spread else math.inf)
+        steps = list(map(float, range(len(checkpoints))))
+        baseline, top = meta.random_baseline, meta.max_score
+        values = (
+            _mean([spearman(steps, s) for s in series]),
+            _mean([_cv_of_deltas(s) for s in series]),
+            _mean([rescale(s[-1], baseline, top) for s in series]),
+            ranking,
+            _mean(noise_values),
+            _mean(mads),
+            _mean([n / (len(checkpoints) - 1) for n in changes]),
+        )
         results = {
-            "monotonicity": CriterionResult(
-                monotonicity, monotonicity >= thresholds.monotonicity
-            ),
-            "stable_pretraining": CriterionResult(
-                stable,
-                thresholds.stable_pretraining is None
-                or stable <= thresholds.stable_pretraining,
-            ),
-            "non_randomness": CriterionResult(
-                non_random, non_random >= thresholds.non_randomness
-            ),
-            "ranking_consistency": ranking,
-            "low_noise": CriterionResult(
-                low_noise,
-                thresholds.low_noise is None or low_noise >= thresholds.low_noise,
-            ),
-            "low_prompt_sensitivity": CriterionResult(
-                low_sensitivity,
-                thresholds.low_prompt_sensitivity is None
-                or low_sensitivity <= thresholds.low_prompt_sensitivity,
-            ),
-            "prompt_lottery": CriterionResult(
-                lottery, lottery <= thresholds.prompt_lottery
-            ),
+            name: CriterionResult(value, _passes(name, value, thresholds))
+            for name, value in zip(CRITERIA, values)
         }
         report[task] = results
         if all(r.passed for r in results.values()):
@@ -457,16 +430,18 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
 
     Score rows carry model, task, prompt, checkpoint_tokens, score.
     """
-    meta_raw = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+    try:
+        meta_raw = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise GridError(f"{meta_path}: malformed JSON: {exc}") from exc
+    if not isinstance(meta_raw, dict):
+        raise GridError(f"{meta_path}: task metadata must be a JSON object")
     tasks = {}
     for name, entry in meta_raw.items():
         try:
-            tasks[name] = TaskMeta(
-                random_baseline=float(entry["random_baseline"]),
-                max_score=float(entry["max_score"]),
-                category=entry["category"],
-                language=entry["language"],
-            )
+            tasks[name] = TaskMeta(float(entry["random_baseline"]),
+                                   float(entry["max_score"]), entry["category"],
+                                   entry["language"])
         except KeyError as exc:
             raise GridError(
                 f"{meta_path}: task {name!r} is missing field {exc.args[0]!r}"
@@ -475,33 +450,58 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
             raise GridError(f"{meta_path}: task {name!r}: {exc}") from exc
 
     scores_path = Path(scores_path)
-    rows: list[dict] = []
-    if scores_path.suffix == ".csv":
-        with scores_path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        with scores_path.open(encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-
     scores: dict[Cell, float] = {}
-    for row in rows:
+    for number, row in _score_rows(scores_path):
         try:
-            cell = (
-                row["model"],
-                row["task"],
-                row["prompt"],
-                int(row["checkpoint_tokens"]),
-            )
-            score = float(row["score"])
-        except (KeyError, ValueError) as exc:
-            raise GridError(f"bad score row {row!r}: {exc}") from exc
-        if cell in scores:
-            raise GridError(
-                f"duplicate score row {row!r}: (model, task, prompt, "
-                "checkpoint_tokens) already has a score"
-            )
+            cell, score = _score_cell(row, tasks)
+            if cell in scores:
+                raise ValueError(f"duplicate score row {row!r}: (model, task, prompt, "
+                                 "checkpoint_tokens) already has a score")
+        except ValueError as exc:
+            raise GridError(f"{scores_path}:{number}: {exc}") from exc
         scores[cell] = score
     return EvalGrid(scores, tasks)
+
+
+def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
+    """The cell and score of one parsed row; ValueError says what is wrong."""
+    if not isinstance(row, dict):
+        raise ValueError("score row is not a JSON object")
+    for i, name in enumerate(("model", "task", "prompt", "checkpoint_tokens", "score")):
+        if row.get(name) is None:
+            raise ValueError(f"score row is missing field {name!r}")
+        if i < 3 and not isinstance(row[name], str):
+            raise ValueError(f"field {name!r} must be a string, got {row[name]!r}")
+    try:
+        cell = (row["model"], row["task"], row["prompt"], int(row["checkpoint_tokens"]))
+        score = float(row["score"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad score row {row!r}: {exc}") from None
+    if cell[1] not in tasks:
+        raise ValueError(f"score references unknown task {cell[1]!r}")
+    if not math.isfinite(score):
+        raise ValueError(f"non-finite score {score}")
+    return cell, score
+
+
+def _score_rows(path: Path) -> Iterator[tuple[int, object]]:
+    """Each score row with its 1-based line number (a CSV row's last line)."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        if path.suffix == ".csv":
+            reader = csv.DictReader(fh)
+            try:
+                yield from ((reader.line_num, row) for row in reader)
+            except csv.Error as exc:
+                raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
+            return
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    row = json.loads(line.rstrip("\r\n"))
+                except json.JSONDecodeError as exc:
+                    raise GridError(f"{path}:{number}: malformed JSON: {exc.msg} "
+                                    f"(column {exc.colno})") from exc
+                yield number, row
 
 
 def render_ranking(report: MultilingualReport) -> str:

@@ -283,3 +283,93 @@ def test_eval_agg_stage(tmp_path):
     assert report["task_selection"]["selected"] == ["taskA", "taskB"]
     assert report["multilingual"]["borda_ranking"] == ["m_plus", "m_base"]
     assert (tmp_path / "out" / "eval_agg" / "ranking.txt").exists()
+
+
+_GRID_HEADER = "model,task,prompt,checkpoint_tokens,score\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        # a truncated JSONL line: the file's line, not the row text's
+        ("scores.jsonl",
+         '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": 1, "score": 0.5}\n'
+         "\n"
+         '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": 2, "score": 0.6}\n'
+         '{"model": "m", "task": \n',
+         "scores.jsonl:4: malformed JSON: Expecting value (column 24)"),
+        ("scores.jsonl",
+         '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": 1, "score": null}\n',
+         "scores.jsonl:1: score row is missing field 'score'"),
+        ("scores.jsonl", '["m", "t", "p", 1, 0.5]\n',
+         "scores.jsonl:1: score row is not a JSON object"),
+        ("scores.jsonl",
+         '{"model": 7, "task": "t", "prompt": "p", "checkpoint_tokens": 1, "score": 0.5}\n',
+         "scores.jsonl:1: field 'model' must be a string"),
+        ("scores.jsonl",
+         '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": 1e999, "score": 0.5}\n',
+         "scores.jsonl:1: bad score row"),
+        ("scores.csv", _GRID_HEADER + "m,t,p,1,0.5\nm,t,p,2\n",
+         "scores.csv:3: score row is missing field 'score'"),
+        ("scores.csv", _GRID_HEADER + "m,t,p,1,0.5\nm,mystery,p,2,0.5\n",
+         "scores.csv:3: score references unknown task 'mystery'"),
+        ("scores.csv", _GRID_HEADER + "m,t,p,1,nan\n",
+         "scores.csv:2: non-finite score nan"),
+    ],
+    ids=["jsonl-truncated", "jsonl-null-score", "jsonl-not-object", "jsonl-number-model",
+         "jsonl-overflowing-checkpoint", "csv-short-row", "csv-unknown-task", "csv-nan"],
+)
+def test_bad_score_row_exits_1_with_one_line(tmp_path, capsys, name, text, expected):
+    (tmp_path / name).write_text(text)
+    (tmp_path / "tasks.json").write_text(json.dumps({"t": {
+        "random_baseline": 0.25, "max_score": 1.0, "category": "c", "language": "l"}}))
+    (tmp_path / "corpus.jsonl").write_text("")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "input": "corpus.jsonl", "output_root": "out", "language": "aaa_Latn",
+        "eval_agg": {"scores": name, "task_meta": "tasks.json"},
+    }))
+    assert main(["eval-agg", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: eval-agg failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{tmp_path / expected}" in err
+
+
+def test_all_trains_the_classifier_once(tmp_path, monkeypatch):
+    import random
+
+    from refinery.lid import NgramLanguageClassifier
+
+    config_path = build_pipeline_fixture(tmp_path, random.Random(3), n_docs=60)
+    trained = []
+    train = NgramLanguageClassifier.train.__func__
+
+    def counting_train(cls, *args, **kwargs):
+        trained.append(1)
+        return train(cls, *args, **kwargs)
+
+    monkeypatch.setattr(NgramLanguageClassifier, "train", classmethod(counting_train))
+    assert main(["all", "--config", str(config_path), "--output", str(tmp_path / "o")]) == 0
+    assert len(trained) == 1
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [('{"t": {"random_baseline": 0.25,\n', "tasks.json: malformed JSON: "),
+     ('["t"]', "tasks.json: task metadata must be a JSON object")],
+    ids=["truncated", "not-an-object"],
+)
+def test_bad_task_meta_exits_1_with_one_line(tmp_path, capsys, text, expected):
+    (tmp_path / "tasks.json").write_text(text)
+    (tmp_path / "scores.jsonl").write_text("")
+    (tmp_path / "corpus.jsonl").write_text("")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "input": "corpus.jsonl", "output_root": "out", "language": "aaa_Latn",
+        "eval_agg": {"scores": "scores.jsonl", "task_meta": "tasks.json"},
+    }))
+    assert main(["eval-agg", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{tmp_path / expected}" in err
