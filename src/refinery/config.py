@@ -211,6 +211,13 @@ def load_config(
     _check_int(config.packaging.compression_level, "packaging.compression_level", 1, 22)
     if config.wds.min_level is not None:
         _check_int(config.wds.min_level, "wds.min_level", 0, 10)
+    for threshold in fields(SelectionThresholds):  # a None default: gate is optional
+        limit = getattr(config.eval_agg.thresholds, threshold.name)
+        if limit is None and threshold.default is None:
+            continue
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+            raise ConfigError(f"eval_agg.thresholds.{threshold.name}: expected a "
+                              f"number, got {limit!r}")
     if check_paths:
         validate_paths(config, path.parent)
     return config

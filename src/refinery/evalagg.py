@@ -46,11 +46,10 @@ class TaskMeta:
 class TaskBlock:
     """One task's cells as a dense ``[model, prompt, checkpoint]`` array.
 
-    The axes are the task's own sorted models, prompts and checkpoints.
-    ``present`` marks the scored cells; a missing cell holds ``-inf`` in
-    ``values``. ``best`` is the maximum over prompts per (model, checkpoint)
-    and ``scored`` says whether any prompt has a score there. ``at`` maps
-    each axis's keys to their positions.
+    The axes are the task's own sorted models, prompts and checkpoints. A
+    missing cell holds ``-inf`` in ``values`` (scores are finite), and so
+    does ``best``, the maximum over prompts per (model, checkpoint), where
+    no prompt is scored. ``at`` maps each axis's keys to their positions.
     """
 
     def __init__(self, cells: list[tuple[Cell, float]]):
@@ -62,10 +61,7 @@ class TaskBlock:
                                 for (m, _, p, c), _ in cells]).T)
         self.values = np.full(tuple(map(len, axes)), -np.inf)
         self.values[index] = [score for _, score in cells]
-        self.present = np.zeros(self.values.shape, dtype=bool)
-        self.present[index] = True
         self.best = self.values.max(axis=1)
-        self.scored = self.present.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,12 @@ class EvalGrid:
             if not math.isfinite(score):
                 raise GridError(f"non-finite score at ({', '.join(map(str, cell))})")
             groups.setdefault(cell[1], []).append((cell, score))
-        object.__setattr__(self, "blocks", {t: TaskBlock(c) for t, c in groups.items()})
+        object.__setattr__(self, "blocks", {})
+        for task, cells in groups.items():
+            try:
+                self.blocks[task] = TaskBlock(cells)
+            except TypeError as exc:  # keys that do not sort together: 0 and "p0"
+                raise GridError(f"task {task!r} mixes key types: {exc}") from None
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -106,8 +107,8 @@ class EvalGrid:
         if block is None or model not in block.at[0] or checkpoint not in block.at[2]:
             return {}
         m, c = block.at[0][model], block.at[2][checkpoint]
-        values, scored = block.values[m, :, c].tolist(), block.present[m, :, c]
-        return {p: v for p, v, ok in zip(block.prompts, values, scored) if ok}
+        return {p: v for p, v in zip(block.prompts, block.values[m, :, c].tolist())
+                if v != -math.inf}
 
 
 def prompt_aggregate(grid: EvalGrid) -> dict[tuple[str, str, int], float]:
@@ -115,7 +116,7 @@ def prompt_aggregate(grid: EvalGrid) -> dict[tuple[str, str, int], float]:
     out: dict[tuple[str, str, int], float] = {}
     for task, block in grid.blocks.items():
         best = block.best.tolist()
-        for m, c in np.argwhere(block.scored).tolist():
+        for m, c in np.argwhere(block.best != -np.inf).tolist():
             out[(block.models[m], task, block.checkpoints[c])] = best[m][c]
     return out
 
@@ -154,7 +155,7 @@ def language_score(
             continue
         block = grid.blocks[task]
         m = block.at[0].get(model)
-        if m is None or not block.scored[m, -1]:
+        if m is None or block.best[m, -1] == -np.inf:
             raise GridError(
                 f"model {model!r} has no score for task {task!r} at the "
                 f"final checkpoint"
@@ -265,14 +266,22 @@ def kendall_tau(xs: list[float], ys: list[float]) -> float:
     """Kendall tau-b between two score vectors."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise GridError("kendall_tau needs two equal-length series of >= 2 points")
-    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    i, j = np.triu_indices(len(x), k=1)
-    sx, sy = np.sign(x[i] - x[j]), np.sign(y[i] - y[j])
-    untied = (sx != 0) & (sy != 0)
-    concordant = int((untied & (sx == sy)).sum())
-    discordant = int(untied.sum()) - concordant
-    ties_x = int(((sx == 0) & (sy != 0)).sum())
-    ties_y = int(((sy == 0) & (sx != 0)).sum())
+    concordant = discordant = ties_x = ties_y = 0
+    n = len(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            if dx == 0 and dy == 0:
+                continue
+            if dx == 0:
+                ties_x += 1
+            elif dy == 0:
+                ties_y += 1
+            elif (dx > 0) == (dy > 0):
+                concordant += 1
+            else:
+                discordant += 1
     denom = math.sqrt(
         (concordant + discordant + ties_x) * (concordant + discordant + ties_y)
     )
@@ -346,11 +355,13 @@ def _cv_of_deltas(series: list[float]) -> float:
 
 
 _AT_LEAST = ("monotonicity", "non_randomness", "ranking_consistency", "low_noise")
+_OPTIONAL = ("stable_pretraining", "low_noise", "low_prompt_sensitivity")
 
 
 def _passes(name: str, value: float | None, thresholds: SelectionThresholds) -> bool:
+    """``value`` is None for ranking consistency with fewer than two models."""
     limit = getattr(thresholds, name)
-    if value is None or limit is None:
+    if value is None or limit is None and name in _OPTIONAL:
         return True
     return value >= limit if name in _AT_LEAST else value <= limit
 
@@ -379,8 +390,9 @@ def select_tasks(
                 f"task {task!r} has {len(checkpoints)} checkpoints; need >= 3"
             )
         block = grid.blocks[task]
-        if not block.scored.all():
-            m, c = np.argwhere(~block.scored)[0]
+        missing = np.argwhere(block.best == -np.inf)
+        if len(missing):
+            m, c = missing[0]
             raise GridError(
                 f"model {block.models[m]!r} is missing task {task!r} at "
                 f"checkpoint {checkpoints[c]}"
@@ -398,7 +410,7 @@ def select_tasks(
         changes = (winners[:, 1:] != winners[:, :-1]).sum(axis=1).tolist()
         noise_values, mads = [], []
         for m, model_series in enumerate(series):
-            values = block.values[m, :, -1][block.present[m, :, -1]].tolist()
+            values = [v for v in block.values[m, :, -1].tolist() if v != -math.inf]
             med = median(values)
             mads.append(median([abs(v - med) for v in values]))
             spread = math.sqrt(_mean([(v - _mean(values)) ** 2 for v in values]))
@@ -467,11 +479,11 @@ def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
     """The cell and score of one parsed row; ValueError says what is wrong."""
     if not isinstance(row, dict):
         raise ValueError("score row is not a JSON object")
-    for i, name in enumerate(("model", "task", "prompt", "checkpoint_tokens", "score")):
+    for name in ("model", "task", "prompt", "checkpoint_tokens", "score"):
         if row.get(name) is None:
             raise ValueError(f"score row is missing field {name!r}")
-        if i < 3 and not isinstance(row[name], str):
-            raise ValueError(f"field {name!r} must be a string, got {row[name]!r}")
+        if isinstance(row[name], (list, dict)):  # unhashable: cannot key a cell
+            raise ValueError(f"field {name!r} must be a string or a number")
     try:
         cell = (row["model"], row["task"], row["prompt"], int(row["checkpoint_tokens"]))
         score = float(row["score"])

@@ -304,8 +304,8 @@ _GRID_HEADER = "model,task,prompt,checkpoint_tokens,score\n"
         ("scores.jsonl", '["m", "t", "p", 1, 0.5]\n',
          "scores.jsonl:1: score row is not a JSON object"),
         ("scores.jsonl",
-         '{"model": 7, "task": "t", "prompt": "p", "checkpoint_tokens": 1, "score": 0.5}\n',
-         "scores.jsonl:1: field 'model' must be a string"),
+         '{"model": "m", "task": "t", "prompt": ["p"], "checkpoint_tokens": 1, "score": 0.5}\n',
+         "scores.jsonl:1: field 'prompt' must be a string or a number"),
         ("scores.jsonl",
          '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": 1e999, "score": 0.5}\n',
          "scores.jsonl:1: bad score row"),
@@ -316,7 +316,7 @@ _GRID_HEADER = "model,task,prompt,checkpoint_tokens,score\n"
         ("scores.csv", _GRID_HEADER + "m,t,p,1,nan\n",
          "scores.csv:2: non-finite score nan"),
     ],
-    ids=["jsonl-truncated", "jsonl-null-score", "jsonl-not-object", "jsonl-number-model",
+    ids=["jsonl-truncated", "jsonl-null-score", "jsonl-not-object", "jsonl-list-prompt",
          "jsonl-overflowing-checkpoint", "csv-short-row", "csv-unknown-task", "csv-nan"],
 )
 def test_bad_score_row_exits_1_with_one_line(tmp_path, capsys, name, text, expected):

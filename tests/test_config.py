@@ -115,6 +115,20 @@ def test_eval_agg_thresholds_parsed(tmp_path):
     assert config.eval_agg.thresholds.prompt_lottery == 0.5
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"monotonicity": None}, "eval_agg.thresholds.monotonicity: expected a number, got None"),
+    ({"prompt_lottery": "0.5"}, "eval_agg.thresholds.prompt_lottery: expected a number"),
+    ({"low_noise": True}, "eval_agg.thresholds.low_noise: expected a number, got True"),
+])
+def test_eval_agg_thresholds_must_be_numbers(tmp_path, thresholds, message):
+    payload = _minimal(tmp_path)
+    payload["eval_agg"] = {"thresholds": thresholds}
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, payload))
+    payload["eval_agg"] = {"thresholds": {"stable_pretraining": None, "non_randomness": 0}}
+    assert load_config(_write(tmp_path, payload)).eval_agg.thresholds.non_randomness == 0
+
+
 def test_malformed_json_is_config_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"input": "corpus.jsonl",')

@@ -393,6 +393,42 @@ def test_tied_prompts_go_to_the_smallest_name():
     assert lottery == ref_select_tasks(grid).criteria["t"]["prompt_lottery"].value == 0.0
 
 
+def test_integer_prompt_ids_load_and_aggregate(tmp_path):
+    rows = [
+        {"model": model, "task": "t", "prompt": prompt, "checkpoint_tokens": checkpoint,
+         "score": round(0.3 + 0.1 * checkpoint + 0.05 * prompt + (model == "mb") * 0.02, 4)}
+        for model in ("ma", "mb") for prompt in (0, 1, 2) for checkpoint in (1, 2, 3)
+    ]
+    (tmp_path / "scores.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (tmp_path / "tasks.json").write_text(json.dumps({"t": {
+        "random_baseline": 0.25, "max_score": 1.0, "category": "c", "language": "l"}}))
+    grid = evalagg.load_grid(tmp_path / "scores.jsonl", tmp_path / "tasks.json")
+    assert grid.task_prompts("t") == (0, 1, 2)
+    assert_same_accessors(grid)
+    assert select_tasks(grid) == ref_select_tasks(grid)
+    assert language_score(grid, "mb", "l") == ref_language_score(grid, "mb", "l")
+
+
+def test_mixed_key_types_in_one_task_are_a_grid_error():
+    cells = {("m", "t", "p0", 1): 0.5, ("m", "t", 0, 1): 0.4}
+    with pytest.raises(GridError, match="task 't' mixes key types"):
+        EvalGrid(cells, {"t": TaskMeta(0.0, 1.0, "c", "l")})
+
+
+@pytest.mark.parametrize("name", evalagg.CRITERIA)
+def test_only_the_optional_thresholds_may_be_none(name):
+    cells = {(model, "t", "p", checkpoint): 0.3 + 0.1 * checkpoint + offset
+             for model, offset in (("ma", 0.0), ("mb", 0.05)) for checkpoint in (1, 2, 3)}
+    grid = EvalGrid(cells, {"t": TaskMeta(0.25, 1.0, "c", "l")})
+    thresholds = SelectionThresholds(**{name: None})
+    if name in ("stable_pretraining", "low_noise", "low_prompt_sensitivity"):
+        assert select_tasks(grid, thresholds) == ref_select_tasks(grid, thresholds)
+    else:  # no gate is switched off: a None limit cannot be compared, as before
+        for fn in (select_tasks, ref_select_tasks):
+            with pytest.raises(TypeError):
+                fn(grid, thresholds)
+
+
 # --- complexity gate: cell scans and aggregate work ----------------------------
 
 
