@@ -100,7 +100,6 @@ def build(out_dir: Path, n_docs: int, seed: int) -> Path:
         "input": "corpus.jsonl",
         "output_root": "out",
         "language": ALPHA_LANG,
-        "workers": 2,
         "lid": {
             "seed_texts": {ALPHA_LANG: "seeds/aaa.txt", OMEGA_LANG: "seeds/zzz.txt"}
         },

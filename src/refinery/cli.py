@@ -1,12 +1,13 @@
 """Pipeline orchestration: stages as subcommands over one config file.
 
 Usage:
-    refinery <stage> --config pipeline.yaml [--workers N] [--input PATH]
-                     [--output DIR] [--set KEY=VALUE ...]
+    refinery <stage> --config pipeline.yaml [--input PATH] [--output DIR]
+                     [--set KEY=VALUE ...]
 
 Stages: lid, dedup, score, package, analyze, eval-agg, all. Every stage
 reads and writes the common JSONL document schema, so stages compose; each
-writes its outputs atomically (temp file + rename) plus a JSON run report.
+runs serially and writes its outputs atomically (``write_atomic``) plus a
+JSON run report.
 The REFINERY_LOG environment variable sets the log level.
 """
 
@@ -18,15 +19,13 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from . import zstdio
 from .analytics import analyze_corpus, render_report
 from .config import ConfigError, PipelineConfig, load_config, resolve
 from .dedup import dedup
-from .documents import Corpus, Document, read_documents, serialize_document
+from .documents import Corpus, Document, read_documents, write_atomic, write_documents
 from .evalagg import (
     GridError,
     language_score,
@@ -35,7 +34,7 @@ from .evalagg import (
     render_ranking,
     select_tasks,
 )
-from .lid import NgramLanguageClassifier, classify, profile_segments
+from .lid import ClassifierError, NgramLanguageClassifier, classify, profile_segments
 from .packaging import package_corpus
 from .stopwords import get_stopwords, load_stopword_file
 from .wds import filter_by_level, score_document
@@ -49,36 +48,18 @@ class StageError(Exception):
     pass
 
 
-def _write_bytes_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
-def _write_docs_atomic(docs: Iterable[Document], path: Path, level: int = 9) -> None:
-    payload = "".join(serialize_document(d) + "\n" for d in docs).encode("utf-8")
-    if path.suffix == ".zst":
-        payload = zstdio.compress(payload, level)
-    _write_bytes_atomic(path, payload)
-
-
 def _write_json_atomic(obj, path: Path) -> None:
-    _write_bytes_atomic(
+    write_atomic(
         path, (json.dumps(obj, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
     )
 
 
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _load_classifier(config: PipelineConfig, base: Path) -> NgramLanguageClassifier | None:
     if config.lid.classifier_path:
-        return NgramLanguageClassifier.load(resolve(config.lid.classifier_path, base))
+        try:
+            return NgramLanguageClassifier.load(resolve(config.lid.classifier_path, base))
+        except ClassifierError as exc:
+            raise StageError(str(exc)) from exc
     if config.lid.seed_texts:
         seeds = {
             label: resolve(path, base).read_text(encoding="utf-8")
@@ -89,7 +70,7 @@ def _load_classifier(config: PipelineConfig, base: Path) -> NgramLanguageClassif
 
 
 def stage_lid(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
     ids = [d.id for d in docs]
@@ -101,20 +82,19 @@ def stage_lid(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
 
-    def process(doc: Document):
+    kept: list[Document] = []
+    rejected: list[Document] = []
+    for doc in docs:
         pred = classify(doc.text, model)
         if pred.label != config.language or pred.confidence < config.lid.min_confidence:
-            return None, doc.replace(removed_reason="lid_rejected")
+            rejected.append(doc.replace(removed_reason="lid_rejected"))
+            continue
         relabeled = doc.replace(lang=config.language)
         profile = profile_segments(relabeled, model)
-        return relabeled.replace(seg_langs=profile.seg_langs), None
-
-    results = _pmap(process, docs, workers)
-    kept = [k for k, _ in results if k is not None]
-    rejected = [r for _, r in results if r is not None]
-    _write_docs_atomic(kept, out_dir / "documents.jsonl")
+        kept.append(relabeled.replace(seg_langs=profile.seg_langs))
+    write_documents(kept, out_dir / "documents.jsonl")
     if rejected:
-        _write_docs_atomic(rejected, out_dir / "removed.jsonl")
+        write_documents(rejected, out_dir / "removed.jsonl")
     return {
         "input_documents": len(docs),
         "output_documents": len(kept),
@@ -123,16 +103,16 @@ def stage_lid(
 
 
 def stage_dedup(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
     corpus = Corpus(docs, config.language)
-    result = dedup(corpus, config.dedup, workers=workers)
-    _write_docs_atomic(result.retained.documents, out_dir / "documents.jsonl")
+    result = dedup(corpus, config.dedup)
+    write_documents(result.retained.documents, out_dir / "documents.jsonl")
     log_lines = "".join(
         json.dumps(rec.to_json(), ensure_ascii=False) + "\n" for rec in result.removals
     )
-    _write_bytes_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
+    write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
     return {
         "input_documents": len(docs),
         "output_documents": len(result.retained),
@@ -147,14 +127,15 @@ def _segment_profile_fraction(doc: Document) -> float:
 
 
 def stage_score(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
     # lid output carries seg_langs; the classifier is needed only without them.
     needs_model = any(doc.seg_langs is None for doc in docs)
     model = _load_classifier(config, base) if needs_model else None
 
-    def process(doc: Document) -> Document:
+    scored: list[Document] = []
+    for doc in docs:
         if doc.seg_langs is not None:
             fraction = _segment_profile_fraction(doc)
         elif model is not None:
@@ -165,21 +146,18 @@ def stage_score(
                 "configured; run the lid stage first"
             )
         report = score_document(doc, fraction, config.wds.scoring)
-        extras = dict(doc.extras)
-        extras["wds_subsignals"] = report.subsignals
-        return doc.replace(wds=report.score, extras=extras)
-
-    scored = _pmap(process, docs, workers)
+        extras = {**doc.extras, "wds_subsignals": report.subsignals}
+        scored.append(doc.replace(wds=report.score, extras=extras))
     removals: dict[str, int] = {}
     if config.wds.min_level is not None:
         retained, removed = filter_by_level(
             Corpus(scored, config.language), config.wds.min_level
         )
         if removed:
-            _write_docs_atomic(removed, out_dir / "removed.jsonl")
+            write_documents(removed, out_dir / "removed.jsonl")
             removals["below_wds"] = len(removed)
         scored = retained
-    _write_docs_atomic(scored, out_dir / "documents.jsonl")
+    write_documents(scored, out_dir / "documents.jsonl")
     return {
         "input_documents": len(docs),
         "output_documents": len(scored),
@@ -188,7 +166,7 @@ def stage_score(
 
 
 def stage_package(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
     corpus = Corpus(docs, config.language)
@@ -206,7 +184,7 @@ def stage_package(
 
 
 def stage_analyze(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     docs = read_documents(input_path)
     corpus = Corpus(docs, config.language)
@@ -220,7 +198,7 @@ def stage_analyze(
         reference_total_tokens=config.analytics.reference_total_tokens,
     )
     _write_json_atomic(report, out_dir / "analytics.json")
-    _write_bytes_atomic(out_dir / "analytics.txt", render_report(report).encode("utf-8"))
+    write_atomic(out_dir / "analytics.txt", render_report(report).encode("utf-8"))
     return {
         "input_documents": len(docs),
         "output_documents": len(docs),
@@ -229,7 +207,7 @@ def stage_analyze(
 
 
 def stage_eval_agg(
-    config: PipelineConfig, base: Path, workers: int, input_path: Path, out_dir: Path
+    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
 ) -> dict:
     settings = config.eval_agg
     if not settings.scores or not settings.task_meta:
@@ -270,7 +248,7 @@ def stage_eval_agg(
         ranking_text = render_ranking(multilingual)
     _write_json_atomic(report, out_dir / "evalagg.json")
     if ranking_text:
-        _write_bytes_atomic(out_dir / "ranking.txt", ranking_text.encode("utf-8"))
+        write_atomic(out_dir / "ranking.txt", ranking_text.encode("utf-8"))
     return {
         "input_documents": len(grid.scores),
         "output_documents": len(report["languages"]),
@@ -294,14 +272,13 @@ def run_stage(
     stage: str,
     config: PipelineConfig,
     base: Path,
-    workers: int | None = None,
+    _unused: object = None,  # ignored; perfbench/child.py passes a 4th positional
     input_path: str | Path | None = None,
     output_dir: str | Path | None = None,
 ) -> dict:
     """Run one stage; returns the run report (also written to the output dir)."""
     if stage not in _STAGES:
         raise StageError(f"unknown stage {stage!r}")
-    n_workers = workers if workers is not None else config.workers
     out_dir = (
         Path(output_dir)
         if output_dir is not None
@@ -311,7 +288,7 @@ def run_stage(
         Path(input_path) if input_path is not None else resolve(config.input, base)
     )
     started = time.perf_counter()
-    report = _STAGES[stage](config, base, n_workers, in_path, out_dir)
+    report = _STAGES[stage](config, base, in_path, out_dir)
     report = {"stage": stage, **report}
     report["wall_time_seconds"] = round(time.perf_counter() - started, 6)
     _write_json_atomic(report, out_dir / "report.json")
@@ -327,7 +304,6 @@ def run_stage(
 def run_all(
     config: PipelineConfig,
     base: Path,
-    workers: int | None = None,
     input_path: str | Path | None = None,
     output_dir: str | Path | None = None,
 ) -> list[dict]:
@@ -342,7 +318,7 @@ def run_all(
     for stage in DOCUMENT_STAGES:
         stage_dir = root / stage
         reports.append(
-            run_stage(stage, config, base, workers, current, stage_dir)
+            run_stage(stage, config, base, input_path=current, output_dir=stage_dir)
         )
         if stage in ("lid", "dedup", "score"):
             current = stage_dir / "documents.jsonl"
@@ -361,7 +337,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     for stage in list(_STAGES) + ["all"]:
         p = sub.add_parser(stage)
         p.add_argument("--config", required=True, help="pipeline config file")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--input", default=None, help="override the stage input path")
         p.add_argument("--output", default=None, help="override the stage output dir")
         p.add_argument(
@@ -375,8 +350,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.workers is not None and args.workers < 1:
-            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         config = load_config(args.config, overrides=args.overrides)
     except (ConfigError, OSError) as exc:
         print(f"refinery: config error: {exc}", file=sys.stderr)
@@ -384,10 +357,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     base = Path(args.config).resolve().parent
     try:
         if args.stage == "all":
-            run_all(config, base, args.workers, args.input, args.output)
+            run_all(config, base, args.input, args.output)
         else:
-            run_stage(config=config, stage=args.stage, base=base,
-                      workers=args.workers, input_path=args.input,
+            run_stage(args.stage, config, base, input_path=args.input,
                       output_dir=args.output)
     except (StageError, GridError, ConfigError, ValueError, OSError) as exc:
         print(f"refinery: {args.stage} failed: {exc}", file=sys.stderr)

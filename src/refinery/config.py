@@ -57,7 +57,6 @@ class PipelineConfig:
     input: str
     output_root: str
     language: str
-    workers: int = 1
     lid: LidSettings = field(default_factory=LidSettings)
     dedup: DedupParams = field(default_factory=DedupParams)
     wds: WdsSettings = field(default_factory=WdsSettings)
@@ -119,10 +118,7 @@ def _parse_sections(raw: dict[str, Any]) -> PipelineConfig:
     for required in ("input", "output_root", "language"):
         if required not in data:
             raise ConfigError(f"{required}: required field is missing")
-    scalars = {
-        k: data.pop(k) for k in ("input", "output_root", "language", "workers")
-        if k in data
-    }
+    scalars = {k: data.pop(k) for k in ("input", "output_root", "language")}
     if data:
         raise ConfigError(f"{sorted(data)[0]}: unknown field")
     return PipelineConfig(**scalars, **sections)
@@ -207,7 +203,6 @@ def load_config(
         raise ConfigError("config root must be a mapping")
     _apply_overrides(raw, overrides)
     config = _parse_sections(raw)
-    _check_int(config.workers, "workers", 1)
     _check_int(config.packaging.compression_level, "packaging.compression_level", 1, 22)
     if config.wds.min_level is not None:
         _check_int(config.wds.min_level, "wds.min_level", 0, 10)

@@ -15,7 +15,6 @@ shingle sets.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
@@ -264,23 +263,7 @@ class DedupResult:
     clusters: DuplicateClusterSet | None = None
 
 
-def _signatures_for(
-    docs: list[Document], shingles: dict[str, ShingleSet], params: DedupParams, workers: int
-) -> dict[str, MinHashSignature]:
-    ids = [d.id for d in docs if shingles[d.id].shingles]
-
-    def sign(doc_id: str) -> MinHashSignature:
-        return signature(shingles[doc_id], params.signature_length, params.seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sigs = list(pool.map(sign, ids))
-    else:
-        sigs = [sign(i) for i in ids]
-    return dict(zip(ids, sigs))
-
-
-def dedup(corpus: Corpus, params: DedupParams, workers: int = 1) -> DedupResult:
+def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     """Remove all but one document from every near-duplicate cluster.
 
     Documents too short to shingle bypass dedup unremoved. The retained
@@ -289,7 +272,11 @@ def dedup(corpus: Corpus, params: DedupParams, workers: int = 1) -> DedupResult:
     """
     docs = list(corpus.documents)
     shingles = {d.id: shingle(d, params.ngram_order) for d in docs}
-    sigs = _signatures_for(docs, shingles, params, workers)
+    sigs = {
+        d.id: signature(shingles[d.id], params.signature_length, params.seed)
+        for d in docs
+        if shingles[d.id].shingles
+    }
 
     if params.candidates == "lsh":
         pairs = lsh_candidates(sigs, params.bands, params.rows)

@@ -10,6 +10,7 @@ losslessly. Files ending in ``.zst`` are Zstandard-compressed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -203,16 +204,19 @@ class Corpus:
         return iter(self.documents)
 
 
-def read_documents(path: str | Path) -> list[Document]:
-    """Read a (possibly .zst-compressed) JSONL document file."""
-    path = Path(path)
-    data = path.read_bytes()
-    if path.suffix == ".zst":
-        data = zstdio.decompress(data)
+def _parse_jsonl(data: bytes, path: Path) -> list[Document]:
+    """Decode and parse JSONL bytes; every error names ``path`` and the line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DocumentError(
+            f"{path}:{lineno}: not valid UTF-8 (byte offset {exc.start}: {exc.reason})"
+        ) from exc
     docs = []
     # Split on \n only: JSON strings may contain U+2028/U+2029, which
     # str.splitlines would treat as record separators.
-    for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -222,13 +226,44 @@ def read_documents(path: str | Path) -> list[Document]:
     return docs
 
 
+def read_documents(path: str | Path) -> list[Document]:
+    """Read a (possibly .zst-compressed) JSONL document file."""
+    path = Path(path)
+    data = path.read_bytes()
+    if path.suffix == ".zst":
+        try:
+            data = zstdio.decompress(data)
+        except zstdio.ZstdError as exc:
+            raise DocumentError(f"{path}: corrupt zstd data: {exc}") from exc
+    return _parse_jsonl(data, path)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so readers see the old file or the new one.
+
+    The bytes go to a sibling temp file with a per-process unique name,
+    opened exclusively (so its mode follows the umask), which then replaces
+    the target; the temp file is removed if any step fails.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_documents(
     docs: Iterable[Document], path: str | Path, compression_level: int = 9
 ) -> None:
-    """Write documents as JSONL, zstd-compressed when path ends in .zst."""
+    """Write documents atomically as JSONL, zstd-compressed when path ends in .zst."""
     path = Path(path)
     payload = "".join(serialize_document(d) + "\n" for d in docs).encode("utf-8")
     if path.suffix == ".zst":
         payload = zstdio.compress(payload, level=compression_level)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload)
+    write_atomic(path, payload)

@@ -30,7 +30,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .documents import Document, segment_text
+from .documents import Document, segment_text, write_atomic
 
 # Word characters are letters and combining marks. Uppercase and titlecase
 # survivors of the lowercasing step (letters with no lowercase mapping,
@@ -171,7 +171,7 @@ class NgramLanguageClassifier:
         self._rows = rows
         self._matrix = matrix
         self._memo: dict[str, LangPrediction] = {}
-        self._memo_lock = threading.Lock()  # --workers threads share a model
+        self._memo_lock = threading.Lock()  # callers may share a model across threads
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -234,7 +234,7 @@ class NgramLanguageClassifier:
             "log_probs": self._log_probs,
             "fallback_log_probs": self._fallback,
         }
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        write_atomic(path, json.dumps(payload, ensure_ascii=False).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramLanguageClassifier":
@@ -245,5 +245,5 @@ class NgramLanguageClassifier:
                 payload["fallback_log_probs"],
                 tuple(payload["orders"]),
             )
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ClassifierError(f"cannot load classifier from {path}: {exc}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import zstdio
-from .documents import Corpus, Document, parse_document_line, serialize_document
+from .documents import Corpus, Document, _parse_jsonl, serialize_document, write_atomic
 from .wds import wds_level
 
 BIN_LEVELS = (5, 6, 7, 8, 9, 10)
@@ -106,7 +106,6 @@ def write_shards(
     """
     config = config or PackagingConfig()
     bin_dir = Path(out_dir) / language / str(wds_bin)
-    bin_dir.mkdir(parents=True, exist_ok=True)
 
     manifests: list[ShardManifest] = []
     shard_docs: list[tuple[Document, bytes]] = []
@@ -119,10 +118,7 @@ def write_shards(
         payload = b"".join(line for _, line in shard_docs)
         compressed = zstdio.compress(payload, level=config.compression_level)
         index = len(manifests)
-        path = bin_dir / f"{index}.jsonl.zst"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(compressed)
-        tmp.replace(path)
+        write_atomic(bin_dir / f"{index}.jsonl.zst", compressed)
         manifests.append(
             ShardManifest(
                 language=language,
@@ -167,9 +163,7 @@ def read_shards(paths: Iterable[str | Path]) -> list[Document]:
                 path,
                 exc.frame_offset,
             ) from exc
-        for line in data.decode("utf-8").split("\n"):  # \n only; see documents.py
-            if line.strip():
-                docs.append(parse_document_line(line))
+        docs.extend(_parse_jsonl(data, path))
     return docs
 
 
@@ -185,14 +179,10 @@ def package_corpus(
         manifests.extend(
             write_shards(ordered, out_dir, corpus.language, key, config)
         )
-    manifest_path = Path(out_dir) / corpus.language / "manifest.json"
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    tmp.write_text(
-        json.dumps([m.to_json() for m in manifests], indent=2) + "\n",
-        encoding="utf-8",
+    write_atomic(
+        Path(out_dir) / corpus.language / "manifest.json",
+        (json.dumps([m.to_json() for m in manifests], indent=2) + "\n").encode("utf-8"),
     )
-    tmp.replace(manifest_path)
     return manifests
 
 

@@ -162,7 +162,6 @@ def build_pipeline_fixture(root: Path, rng: random.Random, n_docs: int = 500) ->
         "input": "corpus.jsonl",
         "output_root": "out",
         "language": ALPHA_LANG,
-        "workers": 1,
         "lid": {
             "seed_texts": {ALPHA_LANG: "seeds/aaa.txt", OMEGA_LANG: "seeds/zzz.txt"}
         },

@@ -58,15 +58,12 @@ def test_staged_equals_pipelined(fixture_dir):
     assert _tree(staged_out) == _tree(all_out)
 
 
-def test_reruns_and_worker_counts_byte_identical(fixture_dir):
+def test_reruns_byte_identical(fixture_dir):
     root, config_path = fixture_dir
     outs = []
-    for name, workers in [("w1", "1"), ("w4", "4"), ("w1b", "1")]:
+    for name in ("r1", "r2", "r3"):
         out = root / f"run_{name}"
-        code = main(
-            ["all", "--config", str(config_path), "--workers", workers,
-             "--output", str(out)]
-        )
+        code = main(["all", "--config", str(config_path), "--output", str(out)])
         assert code == 0
         outs.append(_tree(out))
     assert outs[0] == outs[1] == outs[2]
@@ -107,12 +104,21 @@ def test_unusable_config_exits_2_with_one_line(tmp_path, capsys, name, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_workers_flag_below_one_exits_2(tmp_path, capsys):
+def test_workers_flag_and_field_are_gone(tmp_path, capsys):
     (tmp_path / "c.jsonl").write_text("")
     config = tmp_path / "cfg.json"
     config.write_text('{"input": "c.jsonl", "output_root": "o", "language": "l"}')
-    assert main(["lid", "--config", str(config), "--workers", "0"]) == 2
-    assert "config error: --workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["lid", "--config", str(config), "--workers", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    config.write_text(
+        '{"input": "c.jsonl", "output_root": "o", "language": "l", "workers": 1}'
+    )
+    assert main(["lid", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "refinery: config error: workers: unknown field\n"
+    )
 
 
 def test_stage_failure_exits_1(tmp_path, capsys):
@@ -373,3 +379,71 @@ def test_bad_task_meta_exits_1_with_one_line(tmp_path, capsys, text, expected):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"{tmp_path / expected}" in err
+
+
+def _lid_config(tmp_path, input_name, **lid):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "input": input_name, "output_root": "out", "language": "aaa_Latn",
+        "lid": lid or {"seed_texts": {"aaa_Latn": "seed.txt"}},
+    }))
+    (tmp_path / "seed.txt").write_text("badge cable media beach chalk flame\n")
+    return config
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [("corpus.jsonl.zst", b"\x28\xb5\x2f\xfd not a frame"),
+     ("corpus.jsonl", '{"id":"a","lang":"aaa_Latn","text":"café"}\n'.encode("latin-1"))],
+    ids=["corrupt-zstd", "not-utf8"],
+)
+def test_unreadable_input_exits_1_with_one_line(tmp_path, capsys, name, data):
+    (tmp_path / name).write_bytes(data)
+    assert main(["lid", "--config", str(_lid_config(tmp_path, name))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: lid failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path / name) in err
+
+
+@pytest.mark.parametrize("text", ['{"log_probs": ', "[]"], ids=["truncated", "list"])
+def test_malformed_classifier_file_exits_1_with_one_line(tmp_path, capsys, text):
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    (tmp_path / "model.json").write_text(text)
+    config = _lid_config(tmp_path, "corpus.jsonl", classifier_path="model.json")
+    assert main(["lid", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: lid failed: cannot load classifier from ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path / "model.json") in err
+
+
+def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id":"a","lang":"aaa_Latn","text":"badge cable media"}\n'
+    )
+    (tmp_path / "out" / "lid" / "documents.jsonl.tmp").mkdir(parents=True)
+    assert main(["lid", "--config", str(_lid_config(tmp_path, "corpus.jsonl"))]) == 0
+    assert [d.id for d in read_documents(tmp_path / "out" / "lid" / "documents.jsonl")] == ["a"]
+    assert sorted(p.name for p in (tmp_path / "out" / "lid").iterdir()) == [
+        "documents.jsonl", "documents.jsonl.tmp", "report.json"]
+
+
+def test_demo_fixture_script_runs_end_to_end(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "make_fixture.py"), str(tmp_path),
+         "--docs", "60"],
+        check=True, env=env, capture_output=True,
+    )
+    assert main(["all", "--config", str(tmp_path / "pipeline.json")]) == 0
+    assert (tmp_path / "out" / "analyze" / "analytics.json").exists()

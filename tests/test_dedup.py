@@ -300,14 +300,6 @@ class TestDedup:
         assert [d.id for d in twice.retained] == [d.id for d in once.retained]
         assert twice.removals == []
 
-    def test_worker_counts_agree(self, rng):
-        corpus = _duplicate_corpus(rng)
-        params = DedupParams()
-        serial = dedup(corpus, params, workers=1)
-        threaded = dedup(corpus, params, workers=4)
-        assert [d.id for d in serial.retained] == [d.id for d in threaded.retained]
-        assert serial.removals == threaded.removals
-
     def test_per_crawl_spares_cross_collection_duplicates(self):
         text = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
         a = _doc(text, "a", collection="crawl-a")

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from refinery.documents import (
     read_documents,
     segment_text,
     serialize_document,
+    write_atomic,
     write_documents,
 )
 
@@ -156,3 +159,39 @@ def test_line_separator_characters_survive(tmp_path):
     path = tmp_path / "docs.jsonl"
     write_documents([doc], path)
     assert read_documents(path) == [doc]
+
+
+def test_failed_atomic_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "docs.jsonl"
+    target.write_bytes(b"old bytes\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(target, b"new bytes\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+
+
+def test_atomic_write_creates_parents_and_follows_umask(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    target = tmp_path / "a" / "b" / "out.bin"
+    write_atomic(target, b"payload")
+    write_atomic(target, b"second")
+    assert target.read_bytes() == b"second"
+    assert (target.stat().st_mode & 0o777) == 0o666 & ~umask
+    assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
+
+
+def test_unreadable_files_name_the_file(tmp_path):
+    bad_utf8 = tmp_path / "latin1.jsonl"
+    bad_utf8.write_bytes(b'{"id":"a","lang":"l","text":"x"}\n{"id":"b","lang":"l","text":"caf\xe9"}\n')
+    with pytest.raises(DocumentError, match=f"^{re.escape(str(bad_utf8))}:2: not valid UTF-8"):
+        read_documents(bad_utf8)
+    bad_zstd = tmp_path / "docs.jsonl.zst"
+    bad_zstd.write_bytes(b"\x28\xb5\x2f\xfd truncated")
+    with pytest.raises(DocumentError, match=f"^{re.escape(str(bad_zstd))}: corrupt zstd data"):
+        read_documents(bad_zstd)

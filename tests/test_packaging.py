@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from refinery.documents import Corpus, Document, serialize_document
+from refinery import zstdio
+from refinery.documents import Corpus, Document, DocumentError, serialize_document
 from refinery.packaging import (
     PackagingConfig,
     PackagingError,
@@ -193,6 +194,15 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    def test_bad_record_names_shard_and_line(self, tmp_path):
+        path = tmp_path / "0.jsonl.zst"
+        path.write_bytes(zstdio.compress(
+            b'{"id":"a","lang":"l","text":"x","wds":7.0}\n{"id":"b","lang":"l"}\n'
+        ))
+        with pytest.raises(DocumentError) as info:
+            read_shards([path])
+        assert str(info.value) == f"{path}:2: missing required field 'text'"
+
     def test_corrupt_frame_reports_file_and_offset(self, tmp_path):
         docs = [_scored_doc(i, 7.0) for i in range(5)]
         manifests = write_shards(docs, tmp_path, "eng_Latn", 7)
