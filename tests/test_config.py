@@ -150,6 +150,13 @@ def test_malformed_override_value_is_config_error(tmp_path):
         load_config(path, overrides=["workers=["])
 
 
+@pytest.mark.parametrize("workers", ["two", 1.5, True, 0, -1])
+def test_workers_must_be_a_positive_integer(tmp_path, workers):
+    payload = {**_minimal(tmp_path), "workers": workers}
+    with pytest.raises(ConfigError, match="workers"):
+        load_config(_write(tmp_path, payload))
+
+
 def test_workers_is_an_unknown_field(tmp_path):
     for workers in (1, 2, "two", 1.5, True, 0, -1, None):
         payload = {**_minimal(tmp_path), "workers": workers}
