@@ -12,10 +12,9 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 from urllib.parse import urlsplit
 
-from .documents import Corpus, segment_text
+from .documents import Corpus, segment_text, token_count
 
 logger = logging.getLogger(__name__)
 
@@ -23,13 +22,6 @@ LARGE_DOCUMENT_SEGMENTS = 25  # "large" means strictly more segments than this
 SHORT_SEGMENT_TOKENS = 3  # "short" means strictly fewer tokens than this
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 TOP_NGRAMS = 5
-
-TokenCounter = Callable[[str], int]
-
-
-def whitespace_token_count(text: str) -> int:
-    return len(text.split())
-
 
 @dataclass(frozen=True)
 class CorpusSummary:
@@ -64,13 +56,11 @@ def summary_from_totals(
 
 
 def corpus_summary(
-    corpus: Corpus,
-    token_counter: TokenCounter = whitespace_token_count,
-    reference_total_tokens: int | None = None,
+    corpus: Corpus, reference_total_tokens: int | None = None
 ) -> CorpusSummary:
     if len(corpus) < 1:
         raise ValueError("summary requires at least one document")
-    total = sum(token_counter(doc.text) for doc in corpus)
+    total = sum(token_count(doc.text) for doc in corpus)
     return summary_from_totals(len(corpus), total, reference_total_tokens)
 
 
@@ -248,10 +238,9 @@ def analyze_corpus(
     corpus: Corpus,
     stopwords: frozenset[str] | set[str] = frozenset(),
     reference_total_tokens: int | None = None,
-    token_counter: TokenCounter = whitespace_token_count,
 ) -> dict:
     """Full analytics report as one JSON-serializable document."""
-    summary = corpus_summary(corpus, token_counter, reference_total_tokens)
+    summary = corpus_summary(corpus, reference_total_tokens)
     large_ratio, short_ratio = length_profiles(corpus)
     report = {
         "language": corpus.language,

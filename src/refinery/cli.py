@@ -54,18 +54,26 @@ def _write_json_atomic(obj, path: Path) -> None:
     )
 
 
+def _read_seed(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StageError(
+            f"{path}: not valid UTF-8 (byte offset {exc.start}: {exc.reason})"
+        ) from exc
+
+
 def _load_classifier(config: PipelineConfig, base: Path) -> NgramLanguageClassifier | None:
-    if config.lid.classifier_path:
-        try:
+    try:
+        if config.lid.classifier_path:
             return NgramLanguageClassifier.load(resolve(config.lid.classifier_path, base))
-        except ClassifierError as exc:
-            raise StageError(str(exc)) from exc
-    if config.lid.seed_texts:
-        seeds = {
-            label: resolve(path, base).read_text(encoding="utf-8")
-            for label, path in config.lid.seed_texts.items()
-        }
-        return NgramLanguageClassifier.train(seeds)
+        if config.lid.seed_texts:
+            return NgramLanguageClassifier.train({
+                label: _read_seed(resolve(path, base))
+                for label, path in config.lid.seed_texts.items()
+            })
+    except ClassifierError as exc:
+        raise StageError(str(exc)) from exc
     return None
 
 

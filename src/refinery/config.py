@@ -1,16 +1,18 @@
 """Pipeline configuration: one declarative YAML or JSON file.
 
-Every section maps onto the owning module's parameter dataclass; unknown
-keys are rejected with the offending field named, and referenced paths are
-checked at validation time.
+Every section maps onto the owning module's parameter dataclass. One
+recursive `_build` checks each key against its dataclass field: unknown
+keys, missing required fields and values of the wrong type are rejected
+with the dotted key named, and referenced paths are checked at validation
+time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -67,68 +69,69 @@ class PipelineConfig:
 
 def _mapping(value: Any, where: str) -> dict[str, Any]:
     if not isinstance(value, dict):
+        if not where:
+            raise ConfigError("config root must be a mapping")
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
     return dict(value)
 
 
-def _build(dc_type, mapping: dict[str, Any], where: str):
-    mapping = _mapping(mapping, where)
-    known = {f.name for f in fields(dc_type)}
-    unknown = set(mapping) - known
+def _build(dc_type, raw: Any, where: str):
+    """Build config dataclass ``dc_type`` from the mapping ``raw``.
+
+    Unknown keys, missing required fields and values that do not match a
+    field's annotation fail with one line naming the dotted key; values
+    that pass are kept as given.
+    """
+    data, built = _mapping(raw, where), {}
+    if dc_type is WdsSettings:  # flat: the WdsConfig keys sit beside min_level
+        scoring = {key: data.pop(key) for key in list(data) if key != "min_level"}
+        built["scoring"] = _build(WdsConfig, scoring, where)
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(data) - {f.name for f in fields(dc_type)}, key=str)
     if unknown:
-        raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown field")
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    hints = get_type_hints(dc_type)
+    for f in fields(dc_type):
+        if f.name in data:
+            built[f.name] = _value(hints[f.name], data[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{f.name}: required field is missing")
     try:
-        return dc_type(**mapping)
-    except (TypeError, ValueError) as exc:
+        return dc_type(**built)
+    except ValueError as exc:  # the dataclass's own range checks
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_sections(raw: dict[str, Any]) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    data = dict(raw)
-    sections: dict[str, Any] = {}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
-    if "lid" in data:
-        sections["lid"] = _build(LidSettings, data.pop("lid"), "lid")
-    if "dedup" in data:
-        sections["dedup"] = _build(DedupParams, data.pop("dedup"), "dedup")
-    if "wds" in data:
-        wds_raw = _mapping(data.pop("wds"), "wds")
-        min_level = wds_raw.pop("min_level", None)
-        sections["wds"] = WdsSettings(
-            scoring=_build(WdsConfig, wds_raw, "wds"), min_level=min_level
-        )
-    if "packaging" in data:
-        sections["packaging"] = _build(
-            PackagingConfig, data.pop("packaging"), "packaging"
-        )
-    if "analytics" in data:
-        sections["analytics"] = _build(
-            AnalyticsSettings, data.pop("analytics"), "analytics"
-        )
-    if "eval_agg" in data:
-        ea_raw = _mapping(data.pop("eval_agg"), "eval_agg")
-        thresholds_raw = ea_raw.pop("thresholds", {})
-        ea_raw["thresholds"] = _build(
-            SelectionThresholds, thresholds_raw, "eval_agg.thresholds"
-        )
-        sections["eval_agg"] = _build(EvalAggSettings, ea_raw, "eval_agg")
 
-    for required in ("input", "output_root", "language"):
-        if required not in data:
-            raise ConfigError(f"{required}: required field is missing")
-    scalars = {k: data.pop(k) for k in ("input", "output_root", "language")}
-    if data:
-        raise ConfigError(f"{sorted(data)[0]}: unknown field")
-    return PipelineConfig(**scalars, **sections)
+def _value(annotation: Any, value: Any, where: str) -> Any:
+    if is_dataclass(annotation):
+        return _build(annotation, value, where)
+    if get_origin(annotation) is dict:
+        key_type, item_type = get_args(annotation)
+        for key, item in _mapping(value, where).items():
+            _value(key_type, key, f"{where} key")
+            _value(item_type, item, f"{where}.{key}")
+        return value
+    options = get_args(annotation) or (annotation,)  # X | None, or one type
+    if not any(_is_a(value, option) for option in options):
+        expected = " or ".join(_TYPE_NAMES[o] for o in options if o is not type(None))
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+def _is_a(value: Any, option: type) -> bool:
+    """An int is not a bool, and a float field also takes an int."""
+    if isinstance(value, bool):
+        return option is bool
+    return isinstance(value, (int, float) if option is float else option)
 
 
 def _check_path(path: str | None, where: str, base: Path) -> None:
     if path is None:
         return
-    resolved = (base / path) if not Path(path).is_absolute() else Path(path)
-    if not resolved.exists():
+    if not resolve(path, base).exists():
         raise ConfigError(f"{where}: path {path!r} does not exist")
 
 
@@ -172,12 +175,9 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _check_int(value: Any, where: str, low: int, high: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{where}: must be {bound}, got {value}")
+def _check_range(value: int, where: str, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ConfigError(f"{where}: must be in [{low}, {high}], got {value}")
 
 
 def load_config(
@@ -199,20 +199,12 @@ def load_config(
         raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
     except (json.JSONDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot parse config {path}: {_one_line(exc)}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    raw = _mapping(raw, "")
     _apply_overrides(raw, overrides)
-    config = _parse_sections(raw)
-    _check_int(config.packaging.compression_level, "packaging.compression_level", 1, 22)
+    config = _build(PipelineConfig, raw, "")
+    _check_range(config.packaging.compression_level, "packaging.compression_level", 1, 22)
     if config.wds.min_level is not None:
-        _check_int(config.wds.min_level, "wds.min_level", 0, 10)
-    for threshold in fields(SelectionThresholds):  # a None default: gate is optional
-        limit = getattr(config.eval_agg.thresholds, threshold.name)
-        if limit is None and threshold.default is None:
-            continue
-        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
-            raise ConfigError(f"eval_agg.thresholds.{threshold.name}: expected a "
-                              f"number, got {limit!r}")
+        _check_range(config.wds.min_level, "wds.min_level", 0, 10)
     if check_paths:
         validate_paths(config, path.parent)
     return config

@@ -129,6 +129,12 @@ def parse_document_line(line: str) -> Document:
         ):
             raise DocumentError("field 'seg_langs' must be a list of strings")
         seg_langs = tuple(seg_langs)
+    for name in ("url", "register"):
+        if not isinstance(raw.get(name), (str, type(None))):
+            raise DocumentError(f"field {name!r} must be a string or null")
+    collection = "" if raw.get("collection") is None else raw["collection"]
+    if not isinstance(collection, str):
+        raise DocumentError("field 'collection' must be a string")
     wds = raw.get("wds")
     if wds is not None:
         if not isinstance(wds, (int, float)) or isinstance(wds, bool):
@@ -140,7 +146,7 @@ def parse_document_line(line: str) -> Document:
             lang=raw["lang"],
             text=raw["text"],
             url=raw.get("url"),
-            collection=raw.get("collection", ""),
+            collection=collection,
             seg_langs=seg_langs,
             wds=wds,
             register=raw.get("register"),

@@ -151,6 +151,8 @@ class NgramLanguageClassifier:
         fallback_log_probs: dict[str, float],
         orders: tuple[int, ...] = (1, 2, 3),
     ):
+        if not log_probs:
+            raise ClassifierError("model has no labels")
         self._log_probs = log_probs
         self._fallback = fallback_log_probs
         self._orders = orders
@@ -245,5 +247,6 @@ class NgramLanguageClassifier:
                 payload["fallback_log_probs"],
                 tuple(payload["orders"]),
             )
-        except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (ClassifierError, OSError, KeyError, ValueError, TypeError,
+                AttributeError) as exc:
             raise ClassifierError(f"cannot load classifier from {path}: {exc}") from exc

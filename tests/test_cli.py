@@ -418,6 +418,53 @@ def test_malformed_classifier_file_exits_1_with_one_line(tmp_path, capsys, text)
     assert str(tmp_path / "model.json") in err
 
 
+def test_classifier_without_labels_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    (tmp_path / "model.json").write_text(
+        '{"log_probs": {}, "fallback_log_probs": {}, "orders": [1]}'
+    )
+    config = _lid_config(tmp_path, "corpus.jsonl", classifier_path="model.json")
+    assert main(["lid", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"refinery: lid failed: cannot load classifier from {tmp_path / 'model.json'}: "
+        "model has no labels\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [(b"caf\xe9 ol\xe9\n", "{seed}: not valid UTF-8 (byte offset 3: invalid continuation byte)"),
+     (b"123 456\n", "seed texts are empty after normalization")],
+    ids=["latin-1", "digits-only"],
+)
+def test_unusable_seed_file_exits_1_with_one_line(tmp_path, capsys, seed, expected):
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    config = _lid_config(tmp_path, "corpus.jsonl")
+    (tmp_path / "seed.txt").write_bytes(seed)
+    assert main(["lid", "--config", str(config)]) == 1
+    expected = expected.format(seed=tmp_path / "seed.txt")
+    assert capsys.readouterr().err == f"refinery: lid failed: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "stage, field, value, message",
+    [("package", "collection", 5, "field 'collection' must be a string"),
+     ("analyze", "url", 5, "field 'url' must be a string or null"),
+     ("analyze", "register", ["x"], "field 'register' must be a string or null")],
+    ids=["collection", "url", "register"],
+)
+def test_ill_typed_document_field_exits_1_with_one_line(
+    tmp_path, capsys, stage, field, value, message
+):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [{"id": "a", "lang": "aaa_Latn", "text": "badge cable"},
+               {"id": "b", "lang": "aaa_Latn", "text": "media beach", field: value}]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    config = _lid_config(tmp_path, "corpus.jsonl")
+    assert main([stage, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"refinery: {stage} failed: {corpus}:2: {message}\n"
+
+
 def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):
     (tmp_path / "corpus.jsonl").write_text(
         '{"id":"a","lang":"aaa_Latn","text":"badge cable media"}\n'

@@ -1,8 +1,13 @@
 import json
+import re
+from dataclasses import fields, is_dataclass
+from operator import attrgetter
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
-from refinery.config import ConfigError, load_config
+from refinery.cli import main
+from refinery.config import ConfigError, PipelineConfig, WdsSettings, load_config
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -190,3 +195,73 @@ def test_malformed_sections_named(tmp_path, section, value, match):
     payload = {**_minimal(tmp_path), section: value}
     with pytest.raises(ConfigError, match=match):
         load_config(_write(tmp_path, payload))
+
+
+# Wrong-typed `--set` values (read as YAML) for each kind of field; an
+# `X | None` field takes X's values.
+_WRONG_VALUES = {
+    "section": ["5", "[a]"],
+    dict: ["x", "[a]"],
+    int: ["true", "2.5", "abc"],
+    float: ["true", "abc", "[1]"],
+    bool: ["1", "maybe"],
+    str: ["5", "[a]"],
+}
+
+
+def _config_fields(dc_type=PipelineConfig, prefix=""):
+    """(dotted key, annotation) for every config field, sections included."""
+    hints = get_type_hints(dc_type)
+    for f in fields(dc_type):
+        annotation = hints[f.name]
+        if dc_type is WdsSettings and f.name == "scoring":  # flat: wds.<key>
+            yield from _config_fields(annotation, prefix)
+            continue
+        yield prefix + f.name, annotation
+        if is_dataclass(annotation):
+            yield from _config_fields(annotation, f"{prefix}{f.name}.")
+
+
+def _kind(annotation):
+    if is_dataclass(annotation):
+        return "section"
+    if get_origin(annotation) is dict:
+        return dict
+    (kind,) = [a for a in get_args(annotation) or (annotation,) if a is not type(None)]
+    return kind
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}={value}")
+    for key, annotation in _config_fields()
+    for value in _WRONG_VALUES[_kind(annotation)]
+])
+def test_wrong_typed_field_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    path = _write(tmp_path, _minimal(tmp_path))
+    assert main(["all", "--config", str(path), "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"refinery: config error: {key}: expected ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, attribute, expected", [
+    ("dedup.verify_threshold=1", "dedup.verify_threshold", 1),
+    ("analytics.reference_total_tokens=null", "analytics.reference_total_tokens", None),
+    ("wds.weights={url_density: 2, digit_ratio: 0.5}", "wds.scoring.weights",
+     {"url_density": 2, "digit_ratio": 0.5}),
+], ids=["float-takes-int", "optional-takes-null", "weights-mapping"])
+def test_well_typed_values_load_unconverted(tmp_path, override, attribute, expected):
+    config = load_config(_write(tmp_path, _minimal(tmp_path)), overrides=[override])
+    value = attrgetter(attribute)(config)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("wds.weights={url_density: x}", "wds.weights.url_density: expected a number, got 'x'"),
+    ("lid.seed_texts={aaa_Latn: 5}", "lid.seed_texts.aaa_Latn: expected a string, got 5"),
+    ("lid.seed_texts={1: a.txt}", "lid.seed_texts key: expected a string, got 1"),
+])
+def test_mapping_items_checked_one_by_one(tmp_path, override, message):
+    path = _write(tmp_path, _minimal(tmp_path))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path, overrides=[override])

@@ -51,6 +51,14 @@ def test_invalid_wds_rejected():
         parse_document_line('{"id":"a","lang":"l","text":"t","wds":11}')
 
 
+def test_null_optional_strings_read_as_defaults():
+    doc = parse_document_line(
+        '{"id":"a","lang":"l","text":"t","url":null,"register":null,"collection":null}'
+    )
+    assert (doc.url, doc.register, doc.collection) == (None, None, "")
+    assert serialize_document(doc) == '{"id":"a","lang":"l","text":"t"}'
+
+
 def test_seg_langs_must_match_segment_count():
     with pytest.raises(DocumentError, match="seg_langs"):
         Document(id="a", lang="l", text="one\ntwo", seg_langs=("l",))
