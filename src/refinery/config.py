@@ -17,7 +17,7 @@ from typing import Any, Iterable, get_args, get_origin, get_type_hints
 import yaml
 
 from .dedup import DedupParams
-from .evalagg import SelectionThresholds
+from .evalagg import RANKING_MODES, SelectionThresholds
 from .packaging import PackagingConfig
 from .wds import WdsConfig
 
@@ -52,6 +52,13 @@ class EvalAggSettings:
     run_selection: bool = True
     ranking_mode: str = "consecutive"
     thresholds: SelectionThresholds = field(default_factory=SelectionThresholds)
+
+    def __post_init__(self):
+        if self.ranking_mode not in RANKING_MODES:
+            raise ValueError(
+                f"unknown ranking_mode {self.ranking_mode!r} (allowed: "
+                f"{', '.join(RANKING_MODES)})"
+            )
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,18 @@ object per line with required keys ``id``, ``lang``, ``text`` and optional
 keys ``url``, ``collection``, ``seg_langs``, ``wds``, ``register``. Unknown
 keys are kept verbatim in ``extras`` so richer upstream schemas round-trip
 losslessly. Files ending in ``.zst`` are Zstandard-compressed.
+
+A segment is a trimmed, non-empty line of the text. ``Document.segments``
+is the one place that segments a text: it does so once per document, and
+``Document.replace`` hands the result on while the text stays the same.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -37,7 +42,7 @@ class DocumentError(ValueError):
     """Malformed or schema-violating document record."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One non-empty trimmed line of a document's text."""
 
@@ -70,21 +75,35 @@ class Document:
             raise DocumentError(f"wds score {self.wds} outside [0, 10]")
         if self.removed_reason is not None and self.removed_reason not in REMOVED_REASONS:
             raise DocumentError(f"unknown removed_reason {self.removed_reason!r}")
-        if self.seg_langs is not None:
-            n_segments = len(segment_text(self.text))
-            if len(self.seg_langs) != n_segments:
-                raise DocumentError(
-                    f"seg_langs has {len(self.seg_langs)} labels for "
-                    f"{n_segments} segments"
-                )
+        if self.seg_langs is not None and len(self.seg_langs) != len(self.segments):
+            raise DocumentError(
+                f"seg_langs has {len(self.seg_langs)} labels for "
+                f"{len(self.segments)} segments"
+            )
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The text's segments, computed on first use and then kept."""
+        return tuple(segment_text(self.text))
 
     def replace(self, **changes: Any) -> "Document":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
+        """A validated copy with ``changes`` applied; it keeps the computed
+        segments unless the text changes."""
+        unknown = changes.keys() - _FIELD_NAMES
+        if unknown:
+            raise TypeError(f"Document has no field {sorted(unknown)[0]!r}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        if new.text != self.text:
+            new.__dict__.pop("segments", None)
+        new.__post_init__()
+        return new
 
     def sort_key(self) -> tuple[str, str]:
         return (self.collection, self.id)
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(Document))
 
 
 def segment_text(text: str) -> list[Segment]:
@@ -95,11 +114,6 @@ def segment_text(text: str) -> list[Segment]:
         if line:
             segments.append(Segment(len(segments), line, len(line.split())))
     return segments
-
-
-def token_count(text: str) -> int:
-    """Whitespace-token count of the full text."""
-    return len(text.split())
 
 
 def parse_document_line(line: str) -> Document:

@@ -288,6 +288,8 @@ def kendall_tau(xs: list[float], ys: list[float]) -> float:
     return (concordant - discordant) / denom if denom else 0.0
 
 
+RANKING_MODES = ("consecutive", "vs_final")
+
 CRITERIA = (
     "monotonicity",
     "stable_pretraining",
@@ -369,7 +371,7 @@ def _passes(name: str, value: float | None, thresholds: SelectionThresholds) -> 
 def select_tasks(
     grid: EvalGrid,
     thresholds: SelectionThresholds | None = None,
-    ranking_mode: str = "consecutive",  # or "vs_final"
+    ranking_mode: str = "consecutive",  # one of RANKING_MODES
 ) -> TaskSelectionReport:
     """Evaluate the seven signal criteria per task and select the survivors.
 
@@ -377,7 +379,7 @@ def select_tasks(
     skipped (vacuously passing) with fewer than two models.
     """
     thresholds = thresholds or SelectionThresholds()
-    if ranking_mode not in ("consecutive", "vs_final"):
+    if ranking_mode not in RANKING_MODES:
         raise GridError(f"unknown ranking_mode {ranking_mode!r}")
     report: dict[str, dict[str, CriterionResult]] = {}
     selected: list[str] = []

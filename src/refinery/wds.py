@@ -13,9 +13,19 @@ import math
 import unicodedata
 from dataclasses import dataclass, field
 
-from .documents import Corpus, Document, segment_text
+# Document.segments is segment_text's one caller; the name stays bound here
+# because the benchmark's tracer test expects it in this module.
+from .documents import Corpus, Document, segment_text  # noqa: F401
 
 _URL_PREFIXES = ("http://", "https://", "www.")
+# The subsignals that the oddity penalty weighs, each against the config
+# field "<name>_threshold"; they are the only allowed ``weights`` keys.
+PENALIZED_SUBSIGNALS = (
+    "non_letter_ratio",
+    "digit_ratio",
+    "repeated_line_ratio",
+    "url_density",
+)
 
 
 @dataclass(frozen=True)
@@ -27,15 +37,18 @@ class WdsConfig:
     digit_ratio_threshold: float = 0.2
     repeated_line_ratio_threshold: float = 0.2
     url_density_threshold: float = 0.1  # URLs per 100 tokens
-    # Equal weights by default.
+    # Equal weights by default; a subsignal left out weighs 1.0.
     weights: dict[str, float] = field(
-        default_factory=lambda: {
-            "non_letter_ratio": 1.0,
-            "digit_ratio": 1.0,
-            "repeated_line_ratio": 1.0,
-            "url_density": 1.0,
-        }
+        default_factory=lambda: dict.fromkeys(PENALIZED_SUBSIGNALS, 1.0)
     )
+
+    def __post_init__(self):
+        for name in self.weights:
+            if name not in PENALIZED_SUBSIGNALS:
+                raise ValueError(
+                    f"unknown weights key {name!r} (allowed: "
+                    f"{', '.join(PENALIZED_SUBSIGNALS)})"
+                )
 
 
 @dataclass(frozen=True)
@@ -83,10 +96,10 @@ def _char_ratios(text: str) -> tuple[float, float]:
     return (non_space - letters) / non_space, digits / non_space
 
 
-def compute_subsignals(text: str) -> dict[str, float]:
-    segments = segment_text(text)
-    tokens = text.split()
-    non_letter_ratio, digit_ratio = _char_ratios(text)
+def compute_subsignals(doc: Document) -> dict[str, float]:
+    segments = doc.segments
+    tokens = doc.text.split()
+    non_letter_ratio, digit_ratio = _char_ratios(doc.text)
     if segments:
         repeated = 1.0 - len({s.text for s in segments}) / len(segments)
         avg_segment_tokens = sum(s.token_count for s in segments) / len(segments)
@@ -114,14 +127,9 @@ def _length_score(n_tokens: int, config: WdsConfig) -> float:
 
 
 def _oddity_penalty(subsignals: dict[str, float], config: WdsConfig) -> float:
-    thresholds = {
-        "non_letter_ratio": config.non_letter_ratio_threshold,
-        "digit_ratio": config.digit_ratio_threshold,
-        "repeated_line_ratio": config.repeated_line_ratio_threshold,
-        "url_density": config.url_density_threshold,
-    }
     penalty = 0.0
-    for name, threshold in thresholds.items():
+    for name in PENALIZED_SUBSIGNALS:
+        threshold = getattr(config, f"{name}_threshold")
         exceedance = max(0.0, subsignals[name] - threshold)
         penalty += config.weights.get(name, 1.0) * exceedance
     return min(1.0, max(0.0, penalty))
@@ -134,8 +142,8 @@ def score_document(
     config = config or WdsConfig()
     if not 0.0 <= seg_profile <= 1.0:
         raise ValueError(f"seg_profile {seg_profile} outside [0, 1]")
-    subsignals = compute_subsignals(doc.text)
-    if not doc.text.strip():
+    subsignals = compute_subsignals(doc)
+    if not doc.segments:
         return WdsReport(0.0, 0.0, 0.0, subsignals, 0.0, 0)
     length = _length_score(len(doc.text.split()), config)
     penalty = _oddity_penalty(subsignals, config)

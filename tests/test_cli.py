@@ -1,11 +1,20 @@
 import json
+import sys
 
 import pytest
 
-from refinery.cli import main
-from refinery.documents import read_documents
+import refinery.documents
+from refinery.cli import DOCUMENT_STAGES, main, run_stage
+from refinery.config import load_config
+from refinery.documents import Document, read_documents, write_documents
 
-from conftest import ALPHA_LANG, build_pipeline_fixture, snapshot_tree as _tree
+from conftest import (
+    ALPHA_LANG,
+    OMEGA_LANG,
+    OMEGA_WORDS,
+    build_pipeline_fixture,
+    snapshot_tree as _tree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +367,52 @@ def test_all_trains_the_classifier_once(tmp_path, monkeypatch):
     monkeypatch.setattr(NgramLanguageClassifier, "train", classmethod(counting_train))
     assert main(["all", "--config", str(config_path), "--output", str(tmp_path / "o")]) == 0
     assert len(trained) == 1
+
+
+def test_each_stage_segments_each_document_at_most_once(
+    fixture_dir, tmp_path, monkeypatch
+):
+    root, config_path = fixture_dir
+    config = load_config(config_path)
+    calls = []
+    segment_text = refinery.documents.segment_text
+
+    def counting_segment_text(text):
+        calls.append(text)
+        return segment_text(text)
+
+    for name, module in list(sys.modules.items()):  # every name it is bound to
+        if name.startswith("refinery") and vars(module).get("segment_text") is segment_text:
+            monkeypatch.setattr(module, "segment_text", counting_segment_text)
+    current = None
+    for stage in DOCUMENT_STAGES:
+        calls.clear()
+        report = run_stage(stage, config, root, input_path=current,
+                           output_dir=tmp_path / stage)
+        assert 0 < len(calls) <= report["input_documents"], stage
+        if stage in ("lid", "dedup", "score"):
+            current = tmp_path / stage / "documents.jsonl"
+
+
+def test_all_on_a_corpus_lid_empties_writes_a_zero_report(tmp_path):
+    import random
+
+    config_path = build_pipeline_fixture(tmp_path, random.Random(5), n_docs=20)
+    foreign = Document(id="f", lang=OMEGA_LANG, text=" ".join(OMEGA_WORDS[:8]))
+    write_documents([foreign], tmp_path / "corpus.jsonl")
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(config_path), "--output", str(out)]) == 0
+    assert json.loads((out / "lid" / "report.json").read_text())["output_documents"] == 0
+    report = json.loads((out / "analyze" / "analytics.json").read_text())
+    assert report["summary"] == {
+        "document_count": 0,
+        "token_count": 0,
+        "avg_document_length": 0.0,
+        "share_percent": None,
+    }
+    for ratio in ("unique_segment_ratio", "large_document_ratio",
+                  "short_segment_ratio", "in_language_ratio"):
+        assert report[ratio] == 0.0, ratio
 
 
 @pytest.mark.parametrize(

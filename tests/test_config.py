@@ -189,12 +189,30 @@ def test_compression_level_bounds_accepted(tmp_path, level):
         ("eval_agg", [], "eval_agg: expected a mapping"),
         ("wds", {"min_level": "high"}, "wds.min_level: expected an integer"),
         ("wds", {"min_level": 11}, "wds.min_level: must be in"),
+        ("wds", {"weights": {"url_densty": 0}}, "wds: unknown weights key 'url_densty'"),
+        ("eval_agg", {"ranking_mode": "foo"}, "eval_agg: unknown ranking_mode 'foo'"),
     ],
 )
 def test_malformed_sections_named(tmp_path, section, value, match):
     payload = {**_minimal(tmp_path), section: value}
     with pytest.raises(ConfigError, match=match):
         load_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("stage, overrides, named", [
+    ("all", ["wds.weights={url_densty: 0}"], "'url_densty'"),
+    ("eval-agg", ["eval_agg.ranking_mode=foo"], "'foo'"),
+    ("eval-agg", ["eval_agg.ranking_mode=foo", "eval_agg.run_selection=false"], "'foo'"),
+], ids=["weights-typo", "ranking-mode", "ranking-mode-unused"])
+def test_unknown_choice_exits_2_with_one_line(tmp_path, capsys, stage, overrides, named):
+    path = _write(tmp_path, _minimal(tmp_path))
+    args = [stage, "--config", str(path)]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: config error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # Wrong-typed `--set` values (read as YAML) for each kind of field; an

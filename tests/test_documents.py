@@ -138,6 +138,21 @@ def test_spec_segmentation_examples():
     assert segment_text("") == []
 
 
+def test_replace_keeps_segments_until_the_text_changes():
+    doc = Document(id="a", lang="l", text="one\ntwo")
+    segments = doc.segments
+    labelled = doc.replace(lang="m", seg_langs=("m", "m"))
+    assert labelled.segments is segments
+    changed = doc.replace(text="one\ntwo\nthree")
+    assert [s.text for s in changed.segments] == ["one", "two", "three"]
+    with pytest.raises(DocumentError, match="seg_langs"):
+        labelled.replace(text="one")  # two labels, now one segment
+    with pytest.raises(DocumentError, match="seg_langs"):
+        doc.replace(seg_langs=("l",))
+    with pytest.raises(TypeError, match="colour"):
+        doc.replace(colour="red")
+
+
 def test_corpus_rejects_duplicate_ids():
     doc = Document(id="a", lang="l", text="x")
     with pytest.raises(DocumentError, match="duplicate"):

@@ -139,8 +139,12 @@ class TestOddity:
 
     def test_url_density_counted(self):
         text = "see http://spam.example now " * 50  # 150 tokens, 50 urls
-        signals = compute_subsignals(text)
+        signals = compute_subsignals(_doc(text))
         assert signals["url_density"] == pytest.approx(100.0 * 50 / 150)
+
+    def test_unknown_weight_key_rejected(self):
+        with pytest.raises(ValueError, match="url_densty"):
+            WdsConfig(weights={"url_densty": 0})
 
     def test_subsignal_monotonicity_via_penalty(self, rng):
         from refinery.wds import _oddity_penalty
