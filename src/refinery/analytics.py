@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from urllib.parse import urlsplit
 
 # Document.segments is segment_text's one caller; the name stays bound here
@@ -36,12 +36,7 @@ class CorpusSummary:
     share_percent: float | None
 
     def to_json(self) -> dict:
-        return {
-            "document_count": self.document_count,
-            "token_count": self.token_count,
-            "avg_document_length": self.avg_document_length,
-            "share_percent": self.share_percent,
-        }
+        return asdict(self)
 
 
 def summary_from_totals(

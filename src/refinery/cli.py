@@ -4,11 +4,13 @@ Usage:
     refinery <stage> --config pipeline.yaml [--input PATH] [--output DIR]
                      [--set KEY=VALUE ...]
 
-Stages: lid, dedup, score, package, analyze, eval-agg, all. Every stage
-reads and writes the common JSONL document schema, so stages compose; each
-runs serially and writes its outputs atomically (``write_atomic``) plus a
-JSON run report.
-The REFINERY_LOG environment variable sets the log level.
+Stages: lid, dedup, score, package, analyze, eval-agg, all. A document
+stage maps documents to kept and removed documents and writes only its own
+files; one runner writes ``documents.jsonl`` (lid, dedup, score),
+``removed.jsonl`` and ``report.json`` for all of them. ``all`` reads its
+input once and hands documents from stage to stage in memory, writing the
+same files as separate runs chained through ``--input``. Every file is
+written atomically (``write_atomic``). REFINERY_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,14 +37,21 @@ from .evalagg import (
     render_ranking,
     select_tasks,
 )
-from .lid import ClassifierError, NgramLanguageClassifier, classify, profile_segments
+from .lid import (
+    ClassifierError,
+    NgramLanguageClassifier,
+    classify,
+    in_language_share,
+    profile_segments,
+)
 from .packaging import package_corpus
 from .stopwords import get_stopwords, load_stopword_file
 from .wds import filter_by_level, score_document
 
 logger = logging.getLogger(__name__)
 
-DOCUMENT_STAGES = ("lid", "dedup", "score", "package", "analyze")
+# What a document stage returns: (kept, removed, extra report fields).
+StageResult = tuple[list[Document], list[Document], dict]
 
 
 class StageError(Exception):
@@ -78,18 +88,13 @@ def _load_classifier(config: PipelineConfig, base: Path) -> NgramLanguageClassif
 
 
 def stage_lid(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
-    docs = read_documents(input_path)
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise StageError(f"input {input_path} contains duplicate document ids")
+    config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
+) -> StageResult:
     model = _load_classifier(config, base)
     if model is None:
         raise StageError(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
-
     kept: list[Document] = []
     rejected: list[Document] = []
     for doc in docs:
@@ -100,123 +105,77 @@ def stage_lid(
         relabeled = doc.replace(lang=config.language)
         profile = profile_segments(relabeled, model)
         kept.append(relabeled.replace(seg_langs=profile.seg_langs))
-    write_documents(kept, out_dir / "documents.jsonl")
-    if rejected:
-        write_documents(rejected, out_dir / "removed.jsonl")
-    return {
-        "input_documents": len(docs),
-        "output_documents": len(kept),
-        "removals": {"lid_rejected": len(rejected)} if rejected else {},
-    }
+    return kept, rejected, {}
 
 
 def stage_dedup(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
-    docs = read_documents(input_path)
-    corpus = Corpus(docs, config.language)
-    result = dedup(corpus, config.dedup)
-    write_documents(result.retained.documents, out_dir / "documents.jsonl")
+    config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
+) -> StageResult:
+    result = dedup(Corpus(docs, config.language), config.dedup)
     log_lines = "".join(
         json.dumps(rec.to_json(), ensure_ascii=False) + "\n" for rec in result.removals
     )
     write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
-    return {
-        "input_documents": len(docs),
-        "output_documents": len(result.retained),
-        "removals": {"duplicate": len(result.removals)} if result.removals else {},
-    }
-
-
-def _segment_profile_fraction(doc: Document) -> float:
-    if not doc.seg_langs:
-        return 0.0
-    return sum(1 for label in doc.seg_langs if label == doc.lang) / len(doc.seg_langs)
+    return result.retained.documents, result.removed_docs, {}
 
 
 def stage_score(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
-    docs = read_documents(input_path)
+    config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
+) -> StageResult:
     # lid output carries seg_langs; the classifier is needed only without them.
-    needs_model = any(doc.seg_langs is None for doc in docs)
-    model = _load_classifier(config, base) if needs_model else None
-
+    unlabeled = next((doc for doc in docs if doc.seg_langs is None), None)
+    model = _load_classifier(config, base) if unlabeled is not None else None
+    if unlabeled is not None and model is None:
+        raise StageError(
+            f"document {unlabeled.id!r} has no seg_langs and no classifier is "
+            "configured; run the lid stage first"
+        )
     scored: list[Document] = []
     for doc in docs:
-        if doc.seg_langs is not None:
-            fraction = _segment_profile_fraction(doc)
-        elif model is not None:
-            fraction = profile_segments(doc, model).in_language_fraction
-        else:
-            raise StageError(
-                f"document {doc.id!r} has no seg_langs and no classifier is "
-                "configured; run the lid stage first"
-            )
+        seg_langs = doc.seg_langs
+        if seg_langs is None:
+            seg_langs = profile_segments(doc, model).seg_langs
+        fraction = in_language_share(seg_langs, doc.lang)
         report = score_document(doc, fraction, config.wds.scoring)
         extras = {**doc.extras, "wds_subsignals": report.subsignals}
         scored.append(doc.replace(wds=report.score, extras=extras))
-    removals: dict[str, int] = {}
-    if config.wds.min_level is not None:
-        retained, removed = filter_by_level(
-            Corpus(scored, config.language), config.wds.min_level
-        )
-        if removed:
-            write_documents(removed, out_dir / "removed.jsonl")
-            removals["below_wds"] = len(removed)
-        scored = retained
-    write_documents(scored, out_dir / "documents.jsonl")
-    return {
-        "input_documents": len(docs),
-        "output_documents": len(scored),
-        "removals": removals,
-    }
+    if config.wds.min_level is None:
+        return scored, [], {}
+    retained, removed = filter_by_level(
+        Corpus(scored, config.language), config.wds.min_level
+    )
+    return retained, removed, {}
 
 
 def stage_package(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
-    docs = read_documents(input_path)
-    corpus = Corpus(docs, config.language)
-    manifests = package_corpus(corpus, out_dir, config.packaging)
+    config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
+) -> StageResult:
+    manifests = package_corpus(Corpus(docs, config.language), out_dir, config.packaging)
     per_bin: dict[str, int] = {}
     for m in manifests:
         per_bin[str(m.wds_bin)] = per_bin.get(str(m.wds_bin), 0) + m.document_count
-    return {
-        "input_documents": len(docs),
-        "output_documents": sum(m.document_count for m in manifests),
-        "removals": {},
-        "shards": len(manifests),
-        "documents_per_bin": per_bin,
-    }
+    # The shards hold every document; analyze reads them as they came in.
+    return docs, [], {"shards": len(manifests), "documents_per_bin": per_bin}
 
 
 def stage_analyze(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
-    docs = read_documents(input_path)
-    corpus = Corpus(docs, config.language)
+    config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
+) -> StageResult:
     if config.analytics.stopword_file:
         stops = load_stopword_file(resolve(config.analytics.stopword_file, base))
     else:
         stops = get_stopwords(config.language)
     report = analyze_corpus(
-        corpus,
+        Corpus(docs, config.language),
         stopwords=stops,
         reference_total_tokens=config.analytics.reference_total_tokens,
     )
     _write_json_atomic(report, out_dir / "analytics.json")
     write_atomic(out_dir / "analytics.txt", render_report(report).encode("utf-8"))
-    return {
-        "input_documents": len(docs),
-        "output_documents": len(docs),
-        "removals": {},
-    }
+    return docs, [], {}
 
 
-def stage_eval_agg(
-    config: PipelineConfig, base: Path, input_path: Path, out_dir: Path
-) -> dict:
+def stage_eval_agg(config: PipelineConfig, base: Path, out_dir: Path) -> dict:
     settings = config.eval_agg
     if not settings.scores or not settings.task_meta:
         raise StageError("eval-agg stage needs eval_agg.scores and eval_agg.task_meta")
@@ -266,14 +225,53 @@ def stage_eval_agg(
     }
 
 
-_STAGES: dict[str, Callable] = {
+# In pipeline order. Each writes only the outputs that are its own; the
+# runner writes the documents, the removed documents and the report.
+_DOCUMENT_STAGES: dict[str, Callable[..., StageResult]] = {
     "lid": stage_lid,
     "dedup": stage_dedup,
     "score": stage_score,
     "package": stage_package,
     "analyze": stage_analyze,
-    "eval-agg": stage_eval_agg,
 }
+DOCUMENT_STAGES = tuple(_DOCUMENT_STAGES)
+STAGES = (*DOCUMENT_STAGES, "eval-agg")
+# Stages whose kept documents are written for the next stage to read.
+_WRITES_DOCUMENTS = ("lid", "dedup", "score")
+
+
+def _read_input(path: Path, stage: str) -> list[Document]:
+    """Read a stage's input; lid, where the pipeline starts, needs unique ids."""
+    docs = read_documents(path)
+    if stage == "lid" and len({d.id for d in docs}) != len(docs):
+        raise StageError(f"input {path} contains duplicate document ids")
+    return docs
+
+
+def _write_report(report: dict, started: float, out_dir: Path) -> dict:
+    report["wall_time_seconds"] = round(time.perf_counter() - started, 6)
+    _write_json_atomic(report, out_dir / "report.json")
+    logger.info("stage %s: %s in, %s out", report["stage"],
+                report["input_documents"], report["output_documents"])
+    return report
+
+
+def _run_documents(stage: str, config: PipelineConfig, base: Path, docs: list[Document],
+                   out_dir: Path, started: float) -> tuple[list[Document], dict]:
+    """Run one document stage on ``docs``; write its documents and report."""
+    kept, removed, extra = _DOCUMENT_STAGES[stage](config, base, docs, out_dir)
+    if stage in _WRITES_DOCUMENTS:
+        write_documents(kept, out_dir / "documents.jsonl")
+    if removed:
+        write_documents(removed, out_dir / "removed.jsonl")
+    report = {
+        "stage": stage,
+        "input_documents": len(docs),
+        "output_documents": len(kept),
+        "removals": dict(Counter(doc.removed_reason for doc in removed)),
+        **extra,
+    }
+    return kept, _write_report(report, started, out_dir)
 
 
 def run_stage(
@@ -285,28 +283,17 @@ def run_stage(
     output_dir: str | Path | None = None,
 ) -> dict:
     """Run one stage; returns the run report (also written to the output dir)."""
-    if stage not in _STAGES:
+    if stage not in STAGES:
         raise StageError(f"unknown stage {stage!r}")
-    out_dir = (
-        Path(output_dir)
-        if output_dir is not None
-        else resolve(config.output_root, base) / stage.replace("-", "_")
-    )
-    in_path = (
-        Path(input_path) if input_path is not None else resolve(config.input, base)
-    )
+    out_dir = (Path(output_dir) if output_dir is not None
+               else resolve(config.output_root, base) / stage.replace("-", "_"))
     started = time.perf_counter()
-    report = _STAGES[stage](config, base, in_path, out_dir)
-    report = {"stage": stage, **report}
-    report["wall_time_seconds"] = round(time.perf_counter() - started, 6)
-    _write_json_atomic(report, out_dir / "report.json")
-    logger.info(
-        "stage %s: %s in, %s out",
-        stage,
-        report.get("input_documents"),
-        report.get("output_documents"),
-    )
-    return report
+    if stage == "eval-agg":
+        report = {"stage": stage, **stage_eval_agg(config, base, out_dir)}
+        return _write_report(report, started, out_dir)
+    in_path = Path(input_path) if input_path is not None else resolve(config.input, base)
+    docs = _read_input(in_path, stage)
+    return _run_documents(stage, config, base, docs, out_dir, started)[1]
 
 
 def run_all(
@@ -315,21 +302,17 @@ def run_all(
     input_path: str | Path | None = None,
     output_dir: str | Path | None = None,
 ) -> list[dict]:
-    """Chain the document stages; each reads its predecessor's output."""
-    root = (
-        Path(output_dir)
-        if output_dir is not None
-        else resolve(config.output_root, base)
-    )
-    current = Path(input_path) if input_path is not None else resolve(config.input, base)
+    """Chain the document stages on one read of the input: each stage's kept
+    documents go on to the next in memory."""
+    root = Path(output_dir) if output_dir is not None else resolve(config.output_root, base)
+    in_path = Path(input_path) if input_path is not None else resolve(config.input, base)
+    started = time.perf_counter()
+    docs = _read_input(in_path, DOCUMENT_STAGES[0])
     reports = []
     for stage in DOCUMENT_STAGES:
-        stage_dir = root / stage
-        reports.append(
-            run_stage(stage, config, base, input_path=current, output_dir=stage_dir)
-        )
-        if stage in ("lid", "dedup", "score"):
-            current = stage_dir / "documents.jsonl"
+        docs, report = _run_documents(stage, config, base, docs, root / stage, started)
+        reports.append(report)
+        started = time.perf_counter()
     return reports
 
 
@@ -342,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="refinery", description="Corpus refinement pipeline"
     )
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in list(_STAGES) + ["all"]:
+    for stage in (*STAGES, "all"):
         p = sub.add_parser(stage)
         p.add_argument("--config", required=True, help="pipeline config file")
         p.add_argument("--input", default=None, help="override the stage input path")

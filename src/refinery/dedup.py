@@ -15,7 +15,7 @@ shingle sets.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -174,6 +174,8 @@ class DuplicateClusterSet:
     """Partition of document ids; one representative per cluster."""
 
     representative: dict[str, str]
+    # Each merged id's highest verified similarity over the pairs that merged it.
+    similarity: dict[str, float] = field(default_factory=dict)
 
     def clusters(self) -> dict[str, list[str]]:
         grouped: dict[str, list[str]] = {}
@@ -221,14 +223,18 @@ def cluster(
     if not 0.0 <= verify_threshold <= 1.0:
         raise DedupConfigError("verify_threshold must lie in [0, 1]")
     uf = UnionFind(all_ids)
+    similarity: dict[str, float] = {}
     for a, b in pairs:
         if mode == "per_crawl" and collections is not None:
             if collections.get(a) != collections.get(b):
                 continue
-        if verify(a, b) >= verify_threshold:
+        score = verify(a, b)
+        if score >= verify_threshold:
             uf.add(a)
             uf.add(b)
             uf.union(a, b)
+            for doc_id in (a, b):
+                similarity[doc_id] = max(similarity.get(doc_id, score), score)
     keys = sort_keys or {}
     by_root: dict[str, list[str]] = {}
     for doc_id in uf.parent:
@@ -238,7 +244,7 @@ def cluster(
         rep = min(members, key=lambda i: keys.get(i, ("", i)))
         for doc_id in members:
             representative[doc_id] = rep
-    return DuplicateClusterSet(representative)
+    return DuplicateClusterSet(representative, similarity)
 
 
 @dataclass(frozen=True)
@@ -248,11 +254,7 @@ class RemovalRecord:
     estimated_jaccard: float
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "representative_id": self.representative_id,
-            "estimated_jaccard": self.estimated_jaccard,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -268,7 +270,8 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
 
     Documents too short to shingle bypass dedup unremoved. The retained
     sequence follows corpus order; removed documents are reported with
-    their cluster representative and the similarity used for verification.
+    their cluster representative and their highest verified similarity to
+    a document they were merged with.
     """
     docs = list(corpus.documents)
     shingles = {d.id: shingle(d, params.ngram_order) for d in docs}
@@ -310,7 +313,7 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
         if rep == doc.id:
             retained.append(doc)
         else:
-            removals.append(RemovalRecord(doc.id, rep, verify(doc.id, rep)))
+            removals.append(RemovalRecord(doc.id, rep, cluster_set.similarity[doc.id]))
             removed_docs.append(doc.replace(removed_reason="duplicate"))
     retained_corpus = Corpus(retained, corpus.language)
     return DedupResult(retained_corpus, removals, removed_docs, cluster_set)

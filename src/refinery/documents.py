@@ -75,11 +75,13 @@ class Document:
             raise DocumentError(f"wds score {self.wds} outside [0, 10]")
         if self.removed_reason is not None and self.removed_reason not in REMOVED_REASONS:
             raise DocumentError(f"unknown removed_reason {self.removed_reason!r}")
-        if self.seg_langs is not None and len(self.seg_langs) != len(self.segments):
-            raise DocumentError(
-                f"seg_langs has {len(self.seg_langs)} labels for "
-                f"{len(self.segments)} segments"
-            )
+        if self.seg_langs is not None:
+            # Counting lines builds no segments for stages that never read them.
+            count = sum(1 for _ in _segment_lines(self.text))
+            if len(self.seg_langs) != count:
+                raise DocumentError(
+                    f"seg_langs has {len(self.seg_langs)} labels for {count} segments"
+                )
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
@@ -106,14 +108,18 @@ class Document:
 _FIELD_NAMES = frozenset(f.name for f in fields(Document))
 
 
-def segment_text(text: str) -> list[Segment]:
-    """Split into trimmed non-empty lines with consecutive indices."""
-    segments = []
+def _segment_lines(text: str) -> Iterator[str]:
+    """The trimmed non-empty lines of ``text``: the one definition of a segment."""
     for raw in text.split("\n"):
         line = raw.strip()
         if line:
-            segments.append(Segment(len(segments), line, len(line.split())))
-    return segments
+            yield line
+
+
+def segment_text(text: str) -> list[Segment]:
+    """Split into trimmed non-empty lines with consecutive indices."""
+    lines = enumerate(_segment_lines(text))
+    return [Segment(i, line, len(line.split())) for i, line in lines]
 
 
 def parse_document_line(line: str) -> Document:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -115,17 +115,19 @@ def classify(text: str, model: LanguageClassifier) -> LangPrediction:
 class SegmentProfile:
     seg_langs: tuple[str, ...]
     in_language_fraction: float
-    empty: bool = False
+
+
+def in_language_share(seg_langs: Sequence[str], lang: str) -> float:
+    """Share of segment labels equal to ``lang``; 0.0 without segments."""
+    if not seg_langs:
+        return 0.0
+    return sum(1 for label in seg_langs if label == lang) / len(seg_langs)
 
 
 def profile_segments(doc: Document, model: LanguageClassifier) -> SegmentProfile:
     """Classify each segment independently and measure the in-language share."""
-    segments = doc.segments
-    if not segments:
-        return SegmentProfile((), 0.0, empty=True)
-    labels = tuple(classify(seg.text, model).label for seg in segments)
-    matching = sum(1 for label in labels if label == doc.lang)
-    return SegmentProfile(labels, matching / len(labels))
+    labels = tuple(classify(seg.text, model).label for seg in doc.segments)
+    return SegmentProfile(labels, in_language_share(labels, doc.lang))
 
 
 def _char_ngrams(text: str, orders: tuple[int, ...]) -> Counter:

@@ -9,7 +9,7 @@ manifest. Layout: <out>/<lang>/<bin>/<shard_index>.jsonl.zst.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,16 +51,7 @@ class ShardManifest:
     last_id: str
 
     def to_json(self) -> dict:
-        return {
-            "language": self.language,
-            "wds_bin": self.wds_bin,
-            "shard_index": self.shard_index,
-            "document_count": self.document_count,
-            "uncompressed_bytes": self.uncompressed_bytes,
-            "compressed_bytes": self.compressed_bytes,
-            "first_id": self.first_id,
-            "last_id": self.last_id,
-        }
+        return asdict(self)
 
 
 def assign_bins(corpus: Corpus) -> dict[int | str, list[Document]]:

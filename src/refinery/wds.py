@@ -60,16 +60,6 @@ class WdsReport:
     score: float
     level: int
 
-    def to_json(self) -> dict:
-        return {
-            "language_share_score": self.language_share_score,
-            "length_score": self.length_score,
-            "oddity_penalty": self.oddity_penalty,
-            "subsignals": self.subsignals,
-            "score": self.score,
-            "level": self.level,
-        }
-
 
 def wds_level(score: float) -> int:
     """Integer level for a 0-10 score: floor, with 10.0 mapping to 10."""

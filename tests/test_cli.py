@@ -246,6 +246,8 @@ def test_dedup_single_pair_reported(tmp_path):
     assert main(["dedup", "--config", str(config)]) == 0
     report = json.loads((tmp_path / "out" / "dedup" / "report.json").read_text())
     assert report["removals"] == {"duplicate": 1}
+    removed = read_documents(tmp_path / "out" / "dedup" / "removed.jsonl")
+    assert [(d.id, d.removed_reason) for d in removed] == [("b", "duplicate")]
 
 
 def test_eval_agg_stage(tmp_path):
@@ -369,29 +371,49 @@ def test_all_trains_the_classifier_once(tmp_path, monkeypatch):
     assert len(trained) == 1
 
 
+def _count_calls(monkeypatch, function) -> list:
+    """Arguments of every call to ``function``, through each refinery binding."""
+    calls = []
+
+    def counting(arg):
+        calls.append(arg)
+        return function(arg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("refinery") and vars(module).get(function.__name__) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
 def test_each_stage_segments_each_document_at_most_once(
     fixture_dir, tmp_path, monkeypatch
 ):
     root, config_path = fixture_dir
     config = load_config(config_path)
-    calls = []
-    segment_text = refinery.documents.segment_text
-
-    def counting_segment_text(text):
-        calls.append(text)
-        return segment_text(text)
-
-    for name, module in list(sys.modules.items()):  # every name it is bound to
-        if name.startswith("refinery") and vars(module).get("segment_text") is segment_text:
-            monkeypatch.setattr(module, "segment_text", counting_segment_text)
+    calls = _count_calls(monkeypatch, refinery.documents.segment_text)
     current = None
     for stage in DOCUMENT_STAGES:
         calls.clear()
         report = run_stage(stage, config, root, input_path=current,
                            output_dir=tmp_path / stage)
-        assert 0 < len(calls) <= report["input_documents"], stage
+        if stage in ("dedup", "package"):  # they never read segments
+            assert len(calls) == 0, stage
+        else:
+            assert 0 < len(calls) <= report["input_documents"], stage
         if stage in ("lid", "dedup", "score"):
             current = tmp_path / stage / "documents.jsonl"
+
+
+def test_all_parses_once_and_segments_each_document_at_most_once(
+    fixture_dir, tmp_path, monkeypatch
+):
+    root, config_path = fixture_dir
+    records = sum(1 for line in (root / "corpus.jsonl").open() if line.strip())
+    parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line)
+    segmented = _count_calls(monkeypatch, refinery.documents.segment_text)
+    assert main(["all", "--config", str(config_path), "--output", str(tmp_path)]) == 0
+    assert len(parsed) == records
+    assert 0 < len(segmented) <= records
 
 
 def test_all_on_a_corpus_lid_empties_writes_a_zero_report(tmp_path):

@@ -277,6 +277,24 @@ class TestDedup:
         assert result.removals[0].estimated_jaccard == 1.0
         assert result.removed_docs[0].removed_reason == "duplicate"
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_transitive_merge_logs_a_similarity_that_cleared_the_threshold(self, exact):
+        # b overlaps a and c by 90 of 102 shingles; a and c share only 84 of
+        # 108 (0.78), so c joins a's cluster through b alone.
+        tokens = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(112)]
+        docs = [_doc(" ".join(tokens[shift : shift + 100]), doc_id)
+                for doc_id, shift in (("a", 0), ("b", 6), ("c", 12))]
+        params = DedupParams(candidates="all_pairs", exact_verification=exact)
+        shingles = [shingle(d, params.ngram_order) for d in docs]
+        assert exact_jaccard(shingles[0], shingles[2]) == pytest.approx(84 / 108)
+        result = dedup(Corpus(docs, "eng_Latn"), params)
+        assert [d.id for d in result.retained] == ["a"]
+        logged = {r.id: (r.representative_id, r.estimated_jaccard) for r in result.removals}
+        assert logged["c"][0] == "a"
+        assert all(sim >= params.verify_threshold for _, sim in logged.values())
+        if exact:
+            assert logged == {"b": ("a", 90 / 102), "c": ("a", 90 / 102)}
+
     def test_too_short_documents_bypass(self):
         docs = [_doc("tiny", "a"), _doc("tiny", "b")]
         result = dedup(Corpus(docs, "eng_Latn"), DedupParams(ngram_order=5))

@@ -151,14 +151,13 @@ def test_profile_segments_homogeneous():
     profile = profile_segments(doc, _ruleclassifier())
     assert profile.in_language_fraction == 1.0
     assert profile.seg_langs == ("lang_a", "lang_a", "lang_a")
-    assert not profile.empty
 
 
 def test_profile_segments_empty_document():
     doc = Document(id="d", lang="lang_a", text="  \n \n")
     profile = profile_segments(doc, _ruleclassifier())
     assert profile.in_language_fraction == 0.0
-    assert profile.empty
+    assert profile.seg_langs == ()
 
 
 def test_profile_segments_mixed_three_of_four():
