@@ -9,7 +9,12 @@ stage maps documents to kept and removed documents and writes only its own
 files; one runner writes ``documents.jsonl`` (lid, dedup, score),
 ``removed.jsonl`` and ``report.json`` for all of them. ``all`` reads its
 input once and hands documents from stage to stage in memory, writing the
-same files as separate runs chained through ``--input``. Every file is
+same files as separate runs chained through ``--input``. Every stage after
+lid checks that its input file is a corpus in ``language`` with unique ids.
+lid's per-document classification and dedup's shingling and signing run in
+``parallel.pmap``: in forked worker processes, one per usable CPU and at
+most one per ``MIN_CHUNK`` documents, and serially below two; their
+``report.json`` gives ``workers``. There is no setting for it. Every file is
 written atomically (``write_atomic``). REFINERY_LOG sets the log level.
 """
 
@@ -28,7 +33,15 @@ from typing import Callable, Sequence
 from .analytics import analyze_corpus, render_report
 from .config import ConfigError, PipelineConfig, load_config, resolve
 from .dedup import dedup
-from .documents import Corpus, Document, read_documents, write_atomic, write_documents
+from .documents import (
+    Corpus,
+    Document,
+    DocumentError,
+    Segment,
+    read_documents,
+    write_atomic,
+    write_documents,
+)
 from .evalagg import (
     GridError,
     language_score,
@@ -45,6 +58,7 @@ from .lid import (
     profile_segments,
 )
 from .packaging import package_corpus
+from .parallel import WorkerError, pmap
 from .stopwords import get_stopwords, load_stopword_file
 from .wds import filter_by_level, score_document
 
@@ -95,17 +109,28 @@ def stage_lid(
         raise StageError(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
-    kept: list[Document] = []
-    rejected: list[Document] = []
-    for doc in docs:
+
+    def judge(doc: Document) -> tuple[tuple[str, ...], tuple[Segment, ...]] | None:
+        """None for a rejected document; its segment labels and segments otherwise."""
         pred = classify(doc.text, model)
         if pred.label != config.language or pred.confidence < config.lid.min_confidence:
+            return None
+        return profile_segments(doc, model).seg_langs, doc.segments
+
+    verdicts, workers = pmap(judge, docs)
+    kept: list[Document] = []
+    rejected: list[Document] = []
+    for doc, verdict in zip(docs, verdicts):
+        if verdict is None:
             rejected.append(doc.replace(removed_reason="lid_rejected"))
             continue
-        relabeled = doc.replace(lang=config.language)
-        profile = profile_segments(relabeled, model)
-        kept.append(relabeled.replace(seg_langs=profile.seg_langs))
-    return kept, rejected, {}
+        seg_langs, segments = verdict
+        relabeled = doc.replace(lang=config.language, seg_langs=seg_langs)
+        # A worker's segmentation becomes the document's own, so later
+        # stages never segment it again.
+        vars(relabeled)["segments"] = segments
+        kept.append(relabeled)
+    return kept, rejected, {"workers": workers}
 
 
 def stage_dedup(
@@ -116,7 +141,7 @@ def stage_dedup(
         json.dumps(rec.to_json(), ensure_ascii=False) + "\n" for rec in result.removals
     )
     write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
-    return result.retained.documents, result.removed_docs, {}
+    return result.retained.documents, result.removed_docs, {"workers": result.workers}
 
 
 def stage_score(
@@ -240,11 +265,18 @@ STAGES = (*DOCUMENT_STAGES, "eval-agg")
 _WRITES_DOCUMENTS = ("lid", "dedup", "score")
 
 
-def _read_input(path: Path, stage: str) -> list[Document]:
-    """Read a stage's input; lid, where the pipeline starts, needs unique ids."""
+def _read_input(path: Path, stage: str, language: str) -> list[Document]:
+    """Read a stage's input. lid, where the pipeline starts, needs unique ids;
+    every later stage needs a corpus in ``language``."""
     docs = read_documents(path)
-    if stage == "lid" and len({d.id for d in docs}) != len(docs):
-        raise StageError(f"input {path} contains duplicate document ids")
+    if stage == "lid":
+        if len({d.id for d in docs}) != len(docs):
+            raise StageError(f"input {path} contains duplicate document ids")
+        return docs
+    try:
+        Corpus(docs, language)
+    except DocumentError as exc:
+        raise StageError(f"{path}: {exc}") from exc
     return docs
 
 
@@ -292,7 +324,7 @@ def run_stage(
         report = {"stage": stage, **stage_eval_agg(config, base, out_dir)}
         return _write_report(report, started, out_dir)
     in_path = Path(input_path) if input_path is not None else resolve(config.input, base)
-    docs = _read_input(in_path, stage)
+    docs = _read_input(in_path, stage, config.language)
     return _run_documents(stage, config, base, docs, out_dir, started)[1]
 
 
@@ -307,7 +339,7 @@ def run_all(
     root = Path(output_dir) if output_dir is not None else resolve(config.output_root, base)
     in_path = Path(input_path) if input_path is not None else resolve(config.input, base)
     started = time.perf_counter()
-    docs = _read_input(in_path, DOCUMENT_STAGES[0])
+    docs = _read_input(in_path, DOCUMENT_STAGES[0], config.language)
     reports = []
     for stage in DOCUMENT_STAGES:
         docs, report = _run_documents(stage, config, base, docs, root / stage, started)
@@ -352,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             run_stage(args.stage, config, base, input_path=args.input,
                       output_dir=args.output)
-    except (StageError, GridError, ConfigError, ValueError, OSError) as exc:
+    except (StageError, WorkerError, GridError, ConfigError, ValueError, OSError) as exc:
         print(f"refinery: {args.stage} failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,10 +6,12 @@ seed. Each mix64(. ^ r_i) is a bijection of the 64-bit space with strong
 avalanche, so component agreement estimates Jaccard similarity the same
 way seeded permutations would, and everything vectorizes in uint64.
 
-Candidate pairs come from LSH banding by default; an all-pairs mode exists
-for small corpora and oracle testing. Verification compares either the
-signature estimate or, with exact_verification, the true Jaccard of the
-shingle sets.
+Documents are shingled and signed in one ``parallel.pmap``. Candidate
+pairs come from LSH banding by default; an all-pairs mode exists for small
+corpora and oracle testing. Verification compares either the signature
+estimate, computed for all candidate pairs at once from one matrix of the
+signatures, or, with exact_verification, the true Jaccard of the shingle
+sets, which are kept only then.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .documents import Corpus, Document
 from .lid import normalize_for_lid
+from .parallel import pmap
 
 PairVerifier = Callable[[str, str], float]
 
@@ -30,6 +33,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SHINGLE_CHUNK = 8192
+_PAIR_CHUNK = 1024  # candidate pairs scored at once; bounds the gathered rows
 
 
 class DedupConfigError(ValueError):
@@ -169,6 +173,27 @@ def lsh_candidates(
     return pairs
 
 
+def _estimates(
+    signatures: Mapping[str, MinHashSignature], pairs: list[tuple[str, str]]
+) -> dict[tuple[str, str], float]:
+    """``estimate_jaccard`` of every pair, from one ``uint64[N, k]`` matrix of
+    the signatures, ``_PAIR_CHUNK`` pairs at a time."""
+    if not pairs:
+        return {}
+    rows = {doc_id: i for i, doc_id in enumerate(signatures)}
+    matrix = np.array([sig.values for sig in signatures.values()], dtype=np.uint64)
+    k = matrix.shape[1]
+    estimates: dict[tuple[str, str], float] = {}
+    for start in range(0, len(pairs), _PAIR_CHUNK):
+        chunk = pairs[start : start + _PAIR_CHUNK]
+        ia = np.fromiter((rows[a] for a, _ in chunk), dtype=np.intp, count=len(chunk))
+        ib = np.fromiter((rows[b] for _, b in chunk), dtype=np.intp, count=len(chunk))
+        # Agreeing positions over k, divided as estimate_jaccard divides.
+        agree = (matrix[ia] == matrix[ib]).sum(axis=1)
+        estimates.update(zip(chunk, (agree / k).tolist()))
+    return estimates
+
+
 @dataclass(frozen=True)
 class DuplicateClusterSet:
     """Partition of document ids; one representative per cluster."""
@@ -263,6 +288,7 @@ class DedupResult:
     removals: list[RemovalRecord] = field(default_factory=list)
     removed_docs: list[Document] = field(default_factory=list)
     clusters: DuplicateClusterSet | None = None
+    workers: int = 1  # processes that shingled and signed the documents
 
 
 def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
@@ -274,29 +300,39 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     a document they were merged with.
     """
     docs = list(corpus.documents)
-    shingles = {d.id: shingle(d, params.ngram_order) for d in docs}
-    sigs = {
-        d.id: signature(shingles[d.id], params.signature_length, params.seed)
-        for d in docs
-        if shingles[d.id].shingles
-    }
+
+    def sign(doc: Document) -> tuple[MinHashSignature, ShingleSet | None] | None:
+        """None for a document too short to shingle; its signature otherwise,
+        with its shingle set only when exact verification will read it."""
+        shingles = shingle(doc, params.ngram_order)
+        if not shingles.shingles:
+            return None
+        sig = signature(shingles, params.signature_length, params.seed)
+        return sig, shingles if params.exact_verification else None
+
+    signed, workers = pmap(sign, docs)
+    sigs = {d.id: s[0] for d, s in zip(docs, signed) if s is not None}
 
     if params.candidates == "lsh":
-        pairs = lsh_candidates(sigs, params.bands, params.rows)
+        pairs = sorted(lsh_candidates(sigs, params.bands, params.rows))
     else:
-        pairs = set(combinations(sorted(sigs), 2))
+        pairs = list(combinations(sorted(sigs), 2))
 
     if params.exact_verification:
+        shingle_sets = {d.id: s[1] for d, s in zip(docs, signed) if s is not None}
+
         def verify(a: str, b: str) -> float:
-            return exact_jaccard(shingles[a], shingles[b])
+            return exact_jaccard(shingle_sets[a], shingle_sets[b])
     else:
+        estimates = _estimates(sigs, pairs)
+
         def verify(a: str, b: str) -> float:
-            return estimate_jaccard(sigs[a], sigs[b])
+            return estimates[a, b]
 
     collections = {d.id: d.collection for d in docs}
     sort_keys = {d.id: d.sort_key() for d in docs}
     cluster_set = cluster(
-        sorted(pairs),
+        pairs,
         sigs.keys(),
         verify,
         params.verify_threshold,
@@ -316,4 +352,4 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             removals.append(RemovalRecord(doc.id, rep, cluster_set.similarity[doc.id]))
             removed_docs.append(doc.replace(removed_reason="duplicate"))
     retained_corpus = Corpus(retained, corpus.language)
-    return DedupResult(retained_corpus, removals, removed_docs, cluster_set)
+    return DedupResult(retained_corpus, removals, removed_docs, cluster_set, workers)

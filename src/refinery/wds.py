@@ -68,22 +68,34 @@ def wds_level(score: float) -> int:
     return min(math.floor(score), 10)
 
 
-def _char_ratios(text: str) -> tuple[float, float]:
-    non_space = 0
-    letters = 0
-    digits = 0
-    for ch in text:
+class _CharClassTable(dict):
+    """``str.translate`` table, filled on first sight of each code point:
+    whitespace is deleted, letters and marks map to "L", decimal digits to
+    "D" and every other character to "O"."""
+
+    def __missing__(self, code_point: int) -> str | None:
+        ch = chr(code_point)
+        category = unicodedata.category(ch)
         if ch.isspace():
-            continue
-        non_space += 1
-        cat = unicodedata.category(ch)
-        if cat.startswith("L") or cat.startswith("M"):
-            letters += 1
-        elif cat == "Nd":
-            digits += 1
-    if non_space == 0:
+            mapped = None
+        elif category[0] in "LM":
+            mapped = "L"
+        else:
+            mapped = "D" if category == "Nd" else "O"
+        self[code_point] = mapped
+        return mapped
+
+
+_CHAR_CLASSES = _CharClassTable()
+
+
+def _char_ratios(text: str) -> tuple[float, float]:
+    """Non-letter and digit shares of the non-whitespace characters."""
+    classes = text.translate(_CHAR_CLASSES)
+    if not classes:
         return 0.0, 0.0
-    return (non_space - letters) / non_space, digits / non_space
+    non_space = len(classes)
+    return (non_space - classes.count("L")) / non_space, classes.count("D") / non_space
 
 
 def compute_subsignals(doc: Document) -> dict[str, float]:

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+import refinery.cli
 import refinery.documents
+import refinery.parallel
 from refinery.cli import DOCUMENT_STAGES, main, run_stage
 from refinery.config import load_config
 from refinery.documents import Document, read_documents, write_documents
@@ -371,12 +373,32 @@ def test_all_trains_the_classifier_once(tmp_path, monkeypatch):
     assert len(trained) == 1
 
 
-def _count_calls(monkeypatch, function) -> list:
-    """Arguments of every call to ``function``, through each refinery binding."""
-    calls = []
+class _CallLog:
+    """One byte per call appended to a file, so that calls made in forked
+    worker processes are counted with the parent's."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def __len__(self) -> int:
+        return self.path.stat().st_size
+
+    def clear(self) -> None:
+        self.path.write_bytes(b"")
+
+    def record(self) -> None:
+        with open(self.path, "ab") as fh:
+            fh.write(b".")
+
+
+def _count_calls(monkeypatch, function, log_path) -> _CallLog:
+    """Every call to ``function``, through each refinery binding and in
+    every process of the run."""
+    calls = _CallLog(log_path)
 
     def counting(arg):
-        calls.append(arg)
+        calls.record()
         return function(arg)
 
     for name, module in list(sys.modules.items()):
@@ -390,7 +412,8 @@ def test_each_stage_segments_each_document_at_most_once(
 ):
     root, config_path = fixture_dir
     config = load_config(config_path)
-    calls = _count_calls(monkeypatch, refinery.documents.segment_text)
+    calls = _count_calls(monkeypatch, refinery.documents.segment_text,
+                         tmp_path / "segment_text.calls")
     current = None
     for stage in DOCUMENT_STAGES:
         calls.clear()
@@ -409,8 +432,10 @@ def test_all_parses_once_and_segments_each_document_at_most_once(
 ):
     root, config_path = fixture_dir
     records = sum(1 for line in (root / "corpus.jsonl").open() if line.strip())
-    parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line)
-    segmented = _count_calls(monkeypatch, refinery.documents.segment_text)
+    parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line,
+                          tmp_path / "parse_document_line.calls")
+    segmented = _count_calls(monkeypatch, refinery.documents.segment_text,
+                             tmp_path / "segment_text.calls")
     assert main(["all", "--config", str(config_path), "--output", str(tmp_path)]) == 0
     assert len(parsed) == records
     assert 0 < len(segmented) <= records
@@ -540,6 +565,76 @@ def test_ill_typed_document_field_exits_1_with_one_line(
     config = _lid_config(tmp_path, "corpus.jsonl")
     assert main([stage, "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"refinery: {stage} failed: {corpus}:2: {message}\n"
+
+
+@pytest.mark.parametrize("stage", ["dedup", "score", "package", "analyze"])
+@pytest.mark.parametrize(
+    "second, message",
+    [({"id": "a", "lang": "aaa_Latn", "text": "media beach"},
+      "duplicate document id 'a'"),
+     ({"id": "b", "lang": "zzz_Latn", "text": "media beach"},
+      "document 'b' has lang 'zzz_Latn', corpus is 'aaa_Latn' "
+      "(only lid_rejected documents may differ)")],
+    ids=["duplicate-id", "foreign-lang"],
+)
+def test_stage_after_lid_rejects_a_corpus_it_cannot_hold(
+    tmp_path, capsys, stage, second, message
+):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [{"id": "a", "lang": "aaa_Latn", "text": "badge cable", "seg_langs": ["aaa_Latn"]},
+               {**second, "seg_langs": ["aaa_Latn"]}]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    config = _lid_config(tmp_path, "corpus.jsonl")
+    assert main([stage, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"refinery: {stage} failed: {corpus}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _without_workers(tree: dict[str, bytes]) -> dict[str, bytes]:
+    return {
+        rel: json.dumps({k: v for k, v in json.loads(data).items() if k != "workers"},
+                        sort_keys=True).encode()
+        if rel.endswith("report.json") else data
+        for rel, data in tree.items()
+    }
+
+
+def test_all_on_one_and_on_many_chunks_writes_the_same_tree(
+    fixture_dir, tmp_path, monkeypatch
+):
+    root, config_path = fixture_dir
+    trees = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(refinery.parallel, "MIN_CHUNK", 16)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["all", "--config", str(config_path), "--output", str(out)]) == 0
+        for stage in ("lid", "dedup"):
+            report = json.loads((out / stage / "report.json").read_text())
+            assert report["workers"] == cpus, stage
+        trees[cpus] = _without_workers(_tree(out))
+    assert trees[1] == trees[3]
+
+
+def test_killed_worker_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch):
+    import os
+    import signal
+
+    root, config_path = fixture_dir
+    classify = refinery.cli.classify
+
+    def die_in_a_worker(text, model):
+        if refinery.parallel._in_worker:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return classify(text, model)
+
+    monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(refinery.cli, "classify", die_in_a_worker)
+    assert main(["lid", "--config", str(config_path), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: lid failed: a worker process died: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 
@@ -141,6 +142,39 @@ class TestOddity:
         text = "see http://spam.example now " * 50  # 150 tokens, 50 urls
         signals = compute_subsignals(_doc(text))
         assert signals["url_density"] == pytest.approx(100.0 * 50 / 150)
+
+    def test_char_ratios_match_the_per_character_loop(self, rng):
+        from refinery.wds import _char_ratios
+
+        def per_character(text):
+            non_space = letters = digits = 0
+            for ch in text:
+                if ch.isspace():
+                    continue
+                non_space += 1
+                cat = unicodedata.category(ch)
+                if cat.startswith("L") or cat.startswith("M"):
+                    letters += 1
+                elif cat == "Nd":
+                    digits += 1
+            if non_space == 0:
+                return 0.0, 0.0
+            return (non_space - letters) / non_space, digits / non_space
+
+        # Combining marks, non-ASCII digits (Arabic-Indic, Devanagari,
+        # fullwidth), other numbers, odd whitespace and a lone surrogate
+        # beside random code points from the whole range.
+        pool = ("aZ9 \n\t\u00a0\u2028\u3000\u0301\u0903\u20dd\u0663\u0967"
+                "\uff19\u00bd\u2167\u00e9\u4e2d\ud800.,;!\U0001d7d8")
+        cases = ["", "   \n\t", "\u0301\u0301", "\u0663\u0664 12"]
+        for _ in range(300):
+            n = rng.randint(0, 60)
+            cases.append("".join(
+                rng.choice(pool) if rng.random() < 0.7 else chr(rng.randrange(0x110000))
+                for _ in range(n)
+            ))
+        for text in cases:
+            assert _char_ratios(text) == per_character(text), repr(text)
 
     def test_unknown_weight_key_rejected(self):
         with pytest.raises(ValueError, match="url_densty"):
