@@ -7,15 +7,31 @@ segmenting happens once per document however many statistics read it.
 Segment and token here mean the same units used everywhere else in the
 pipeline: trimmed non-empty lines and whitespace tokens. An empty corpus
 gives a report of zeros.
+
+``top_ngrams`` counts over integer token ids, not strings. One vocabulary
+dict maps each lowercased token to an id; one flat array holds the ids of
+every segment's tokens, beside each position's segment index and a
+stopword flag. The n-grams starting at each position are ranked from the
+order below: ``np.unique`` numbers the keys ``rank[i] * V + id[i + n - 1]``
+(V the vocabulary size), so equal ranks mean equal n-grams, and as ranks
+stay below the token count the keys fit in int64. Only windows inside one
+segment with no stopword at either edge are counted. ``np.partition``
+finds the k-th largest count, only grams counted at least that often are
+joined into strings, and ``heapq.nsmallest`` keeps the top k by (-count,
+joined string). Ties break on the joined string, not on the token tuple:
+the two orders differ for tokens that hold characters below ``" "``.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from urllib.parse import urlsplit
+
+import numpy as np
 
 # Document.segments is segment_text's one caller; the name stays bound here
 # because the benchmark's tracer test expects it in this module.
@@ -130,23 +146,60 @@ def top_ngrams(
     """Most frequent word n-grams per order, confined within segments.
 
     Tokens are lowercased; candidates whose first or last token is a
-    stopword are discarded. Ties break lexicographically.
+    stopword are discarded. Ties break lexicographically on the joined
+    n-gram string.
     """
-    counts: dict[int, Counter] = {n: Counter() for n in orders}
+    tokens: list[str] = []
+    lengths: list[int] = []
     for doc in corpus:
         for seg in doc.segments:
-            tokens = seg.text.lower().split()
-            for n in orders:
-                counter = counts[n]
-                for i in range(len(tokens) - n + 1):
-                    if tokens[i] in stopwords or tokens[i + n - 1] in stopwords:
-                        continue
-                    counter[" ".join(tokens[i : i + n])] += 1
-    top = {
-        n: sorted(counts[n].items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        for n in orders
-    }
-    return NgramReport(top)
+            seg_tokens = seg.text.lower().split()
+            tokens.extend(seg_tokens)
+            lengths.append(len(seg_tokens))
+    vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+    del tokens
+    words = np.array(list(vocab), dtype=object)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    is_stop = np.fromiter(map(stopwords.__contains__, vocab), bool, len(vocab))
+    content = ~is_stop[ids]
+    found: dict[int, list[tuple[str, int]]] = {}
+    rank = ids  # equal ranks mark equal n-grams starting at those positions
+    for n in range(1, max(orders, default=0) + 1):
+        if n > 1:
+            # Ranks stay below the token count, so the key fits in int64.
+            key = rank[:-1] * len(vocab) + ids[n - 1 :]
+            rank = np.unique(key, return_inverse=True)[1]
+        if n in orders:
+            m, last = len(rank), n - 1
+            inside = segment[:m] == segment[last:]
+            starts = np.flatnonzero(inside & content[:m] & content[last:])
+            found[n] = _most_frequent(n, rank[starts], starts, ids, words, top_k)
+    return NgramReport({n: found[n] for n in orders})
+
+
+def _most_frequent(
+    n: int,
+    ranks: np.ndarray,
+    starts: np.ndarray,
+    ids: np.ndarray,
+    words: np.ndarray,
+    top_k: int,
+) -> list[tuple[str, int]]:
+    """Top k (n-gram, count) pairs over the windows at ``starts``."""
+    counts = np.bincount(ranks)
+    k = min(max(top_k, 0), np.count_nonzero(counts))
+    if k == 0:
+        return []
+    # Only grams counted at least as often as the k-th largest count can
+    # make the top k; decode each of them from one of its windows.
+    kept = np.flatnonzero(counts >= np.partition(counts, len(counts) - k)[-k])
+    start_of = np.empty(len(counts), np.int64)
+    start_of[ranks] = starts
+    windows = start_of[kept, None] + np.arange(n)
+    grams = map(" ".join, words[ids[windows]].tolist())
+    best = heapq.nsmallest(k, zip((-counts[kept]).tolist(), grams))
+    return [(gram, -negated) for negated, gram in best]
 
 
 @dataclass(frozen=True)

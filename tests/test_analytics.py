@@ -183,13 +183,31 @@ class TestNgrams:
 
     def test_matches_brute_force(self, rng):
         stopwords = frozenset({"data", "the", "web"})
-        for _ in range(10):
-            corpus = make_corpus(rng, rng.randint(1, 40))
-            report = top_ngrams(corpus, stopwords)
-            for order in (1, 2, 3, 4, 5):
+        words = [f"w{i}" for i in range(40)]
+        rng.shuffle(words)
+        handmade = [
+            # Every n-gram occurs once, so all of them tie at the k-th count.
+            _docs(" ".join(words[:25]), " ".join(words[25:])),
+            # "a" is a prefix of "a\x01": token tuples order "a b" first,
+            # joined strings order "a\x01 b" first ("\x01" < " ").
+            _docs("a\x01 b a b", "x a\x01 y\nx a y", "b a\x01 b a\nA\x01 B"),
+            # "İ".lower() is two characters long.
+            _docs("İstanbul İzmir the İstanbul", "İZMİR data İstanbul izmir"),
+            # Segments shorter than the longer orders, and stopword-only ones.
+            _docs("a b\nc\nd e f g", "the web\ndata\nb a"),
+            Corpus([], "eng_Latn"),
+        ]
+        cases = [(make_corpus(rng, rng.randint(1, 40)), (1, 2, 3, 4, 5), 5)
+                 for _ in range(10)]
+        cases += [(corpus, (1, 2, 3, 4, 5), 5) for corpus in handmade]
+        cases += [(corpus, (2, 5), k) for corpus in handmade for k in (0, 1, 100)]
+        for corpus, orders, k in cases:
+            report = top_ngrams(corpus, stopwords, orders, k)
+            assert list(report.top) == list(orders)
+            for order in orders:
                 brute = _brute_force_ngrams(corpus, stopwords, order)
-                expected = sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-                assert report.top[order] == expected
+                expected = sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+                assert report.top[order] == expected, (order, k)
 
     def test_no_edge_stopwords_property(self, rng):
         stopwords = frozenset({"data", "corpus", "line"})

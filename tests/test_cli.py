@@ -431,7 +431,8 @@ def test_all_parses_once_and_segments_each_document_at_most_once(
     fixture_dir, tmp_path, monkeypatch
 ):
     root, config_path = fixture_dir
-    records = sum(1 for line in (root / "corpus.jsonl").open() if line.strip())
+    with (root / "corpus.jsonl").open(encoding="utf-8") as corpus:
+        records = sum(1 for line in corpus if line.strip())
     parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line,
                           tmp_path / "parse_document_line.calls")
     segmented = _count_calls(monkeypatch, refinery.documents.segment_text,
