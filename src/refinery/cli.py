@@ -37,7 +37,6 @@ from .documents import (
     Corpus,
     Document,
     DocumentError,
-    Segment,
     read_documents,
     write_atomic,
     write_documents,
@@ -110,26 +109,25 @@ def stage_lid(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
 
-    def judge(doc: Document) -> tuple[tuple[str, ...], tuple[Segment, ...]] | None:
-        """None for a rejected document; its segment labels and segments otherwise."""
+    def judge(doc: Document) -> tuple[str, ...] | None:
+        """None for a rejected document; its segment labels otherwise."""
         pred = classify(doc.text, model)
         if pred.label != config.language or pred.confidence < config.lid.min_confidence:
             return None
-        return profile_segments(doc, model).seg_langs, doc.segments
+        return profile_segments(doc, model).seg_langs
 
+    # Segmented here, the documents reach forked workers with their
+    # segments, and later stages never segment them again.
+    for doc in docs:
+        doc.segments
     verdicts, workers = pmap(judge, docs)
     kept: list[Document] = []
     rejected: list[Document] = []
-    for doc, verdict in zip(docs, verdicts):
-        if verdict is None:
+    for doc, seg_langs in zip(docs, verdicts):
+        if seg_langs is None:
             rejected.append(doc.replace(removed_reason="lid_rejected"))
-            continue
-        seg_langs, segments = verdict
-        relabeled = doc.replace(lang=config.language, seg_langs=seg_langs)
-        # A worker's segmentation becomes the document's own, so later
-        # stages never segment it again.
-        vars(relabeled)["segments"] = segments
-        kept.append(relabeled)
+        else:
+            kept.append(doc.replace(lang=config.language, seg_langs=seg_langs))
     return kept, rejected, {"workers": workers}
 
 
@@ -141,7 +139,12 @@ def stage_dedup(
         json.dumps(rec.to_json(), ensure_ascii=False) + "\n" for rec in result.removals
     )
     write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
-    return result.retained.documents, result.removed_docs, {"workers": result.workers}
+    counters = {
+        "workers": result.workers,
+        "verified_pairs": result.verified_pairs,
+        "largest_cluster": result.largest_cluster,
+    }
+    return result.retained.documents, result.removed_docs, counters
 
 
 def stage_score(

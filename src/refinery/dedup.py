@@ -1,4 +1,13 @@
-"""MinHash near-deduplication: shingling, signatures, LSH, clustering.
+"""MinHash near-deduplication on one ``uint64[N, k]`` signature matrix.
+
+Shingles. The tokens of a document are the whitespace-separated words of
+its LID-normalized text. Each distinct token is hashed once, through a
+vocabulary dict, to t(w), the 8-byte ``blake2b`` digest of its UTF-8 bytes
+read little-endian. The shingle hash of the n-gram w_1 .. w_n is
+mix64(t(w_1) + G t(w_2) + G^2 t(w_3) + ... + G^(n-1) t(w_n)) modulo 2^64,
+with the odd constant G = 0x9E3779B97F4A7C15, so the order of the tokens
+counts; numpy computes it for every window of a document at once.
+``blake2b`` is unsalted, so the hashes agree across processes and runs.
 
 Signatures use a splitmix64-style mixing family: component i is
 min over shingles x of mix64(x ^ r_i), with the r_i derived from the run
@@ -6,12 +15,17 @@ seed. Each mix64(. ^ r_i) is a bijection of the 64-bit space with strong
 avalanche, so component agreement estimates Jaccard similarity the same
 way seeded permutations would, and everything vectorizes in uint64.
 
-Documents are shingled and signed in one ``parallel.pmap``. Candidate
-pairs come from LSH banding by default; an all-pairs mode exists for small
-corpora and oracle testing. Verification compares either the signature
-estimate, computed for all candidate pairs at once from one matrix of the
-signatures, or, with exact_verification, the true Jaccard of the shingle
-sets, which are kept only then.
+Documents are shingled and signed in one ``parallel.pmap``, one
+``uint64`` row each, and the rows form one matrix. LSH buckets the rows
+whose values in a band are identical (per crawl, within a collection).
+Each bucket member is verified against the components already in its
+bucket; a pair in one component is never verified and a failed pair is
+not verified twice, so the partition is that of verifying every pair
+sharing a bucket, at a cost linear in the bucket for a cluster of
+near-duplicates. A pair's estimate is the share of agreeing positions of
+its two rows; with exact_verification it is the true Jaccard of the
+shingle sets, which are kept only then. The all-pairs mode, for small
+corpora and oracle testing, verifies every pair through ``cluster``.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,8 +46,9 @@ PairVerifier = Callable[[str, str], float]
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SHINGLE_CHUNK = 8192
-_PAIR_CHUNK = 1024  # candidate pairs scored at once; bounds the gathered rows
+_NO_HASH = np.iinfo(np.uint64).max
+# Elements of the (shingle, seed) block that signing mixes at once.
+_SIGN_BLOCK = 1 << 16
 
 
 class DedupConfigError(ValueError):
@@ -88,9 +103,13 @@ class DedupParams:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's finalizer, applied to ``z`` in place; returns ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _hash_seeds(k: int, seed: int) -> np.ndarray:
@@ -99,22 +118,46 @@ def _hash_seeds(k: int, seed: int) -> np.ndarray:
     return _mix64(base + steps)
 
 
-def _shingle_hash(ngram: str) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest(), "little"
-    )
+class _TokenHashes(dict):
+    """Token -> its 64-bit ``blake2b`` hash, computed on first sight."""
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        value = self[token] = int.from_bytes(digest, "little")
+        return value
+
+
+def _shingle_hashes(text: str, n: int, vocab: _TokenHashes) -> np.ndarray:
+    """The shingle hash of each word n-gram window of ``text``, repeats
+    included (see the module docstring); empty below ``n`` tokens."""
+    tokens = normalize_for_lid(text).split()
+    windows = len(tokens) - n + 1
+    if windows < 1:
+        return np.empty(0, dtype=np.uint64)
+    t = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.uint64, count=len(tokens))
+    h = t[:windows].copy()
+    for j in range(1, n):
+        h += t[j : j + windows] * np.uint64(pow(int(_GOLDEN_GAMMA), j, 1 << 64))
+    return _mix64(h)
+
+
+def _sign(hashes: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """MinHash row of a non-empty array of shingle hashes (repeats change
+    nothing): component i is the minimum of mix64(x ^ seeds[i]) over x,
+    mixed ``_SIGN_BLOCK`` (shingle, seed) pairs at a time."""
+    step = max(1, _SIGN_BLOCK // len(seeds))
+    mins = np.full(len(seeds), _NO_HASH, dtype=np.uint64)
+    for start in range(0, len(hashes), step):
+        block = _mix64(hashes[start : start + step, None] ^ seeds)
+        np.minimum(mins, block.min(axis=0), out=mins)
+    return mins
 
 
 def shingle(doc: Document, n: int) -> ShingleSet:
     """Hash every contiguous word n-gram of the LID-normalized text."""
     if n < 1:
         raise DedupConfigError("shingle order n must be >= 1")
-    tokens = normalize_for_lid(doc.text).split()
-    grams = {
-        _shingle_hash(" ".join(tokens[i : i + n]))
-        for i in range(len(tokens) - n + 1)
-    }
-    return ShingleSet(frozenset(grams), n)
+    return ShingleSet(frozenset(_shingle_hashes(doc.text, n, _TokenHashes()).tolist()), n)
 
 
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
@@ -133,12 +176,7 @@ def signature(s: ShingleSet, k: int, seed: int) -> MinHashSignature:
             "cannot sign an empty shingle set; exempt the document from dedup"
         )
     x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    seeds = _hash_seeds(k, seed)[:, None]
-    mins = np.full(k, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for start in range(0, len(x), _SHINGLE_CHUNK):
-        hashed = _mix64(x[None, start : start + _SHINGLE_CHUNK] ^ seeds)
-        np.minimum(mins, hashed.min(axis=1), out=mins)
-    return MinHashSignature(tuple(int(v) for v in mins), k, seed)
+    return MinHashSignature(tuple(_sign(x, _hash_seeds(k, seed)).tolist()), k, seed)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -152,46 +190,51 @@ def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     return agree / a.k
 
 
+def _buckets(
+    matrix: np.ndarray, bands: int, rows: int, groups: np.ndarray | None = None
+) -> Iterator[list[int]]:
+    """Every bucket of two or more rows, band by band: rows whose values in
+    the band are identical, and whose ``groups`` codes are too, ascending."""
+    for band in range(bands):
+        columns = matrix[:, band * rows : (band + 1) * rows]
+        # Rows share a bucket only if they share the band's first value, so
+        # only those rows are sorted on the whole band.
+        ranked = np.sort(columns[:, 0])
+        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+        subset = np.flatnonzero(np.isin(columns[:, 0], repeated))
+        keys = [columns[subset, c] for c in reversed(range(rows))]  # last key sorts first
+        if groups is not None:
+            keys.append(groups[subset])
+        order = subset[np.lexsort(keys)]  # stable: ascending rows within a bucket
+        ordered = columns[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        if groups is not None:
+            starts[1:] |= np.diff(groups[order]) != 0
+        bounds = np.append(np.flatnonzero(starts), len(order))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi - lo > 1:
+                yield order[lo:hi].tolist()
+
+
 def lsh_candidates(
     signatures: Mapping[str, MinHashSignature], bands: int, rows: int
 ) -> set[tuple[str, str]]:
     """All unordered id pairs sharing at least one identical band."""
-    buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
-    for doc_id in sorted(signatures):
-        sig = signatures[doc_id]
-        if bands * rows != sig.k:
+    ids = sorted(signatures)
+    for doc_id in ids:
+        if bands * rows != signatures[doc_id].k:
             raise DedupConfigError(
-                f"bands*rows = {bands * rows} != signature length {sig.k}"
+                f"bands*rows = {bands * rows} != "
+                f"signature length {signatures[doc_id].k}"
             )
-        for band in range(bands):
-            key = (band, sig.values[band * rows : (band + 1) * rows])
-            buckets.setdefault(key, []).append(doc_id)
+    if not ids:
+        return set()
+    matrix = np.array([signatures[i].values for i in ids], dtype=np.uint64)
     pairs: set[tuple[str, str]] = set()
-    for ids in buckets.values():
-        if len(ids) > 1:
-            pairs.update(combinations(ids, 2))
+    for bucket in _buckets(matrix, bands, rows):
+        pairs.update(combinations([ids[row] for row in bucket], 2))
     return pairs
-
-
-def _estimates(
-    signatures: Mapping[str, MinHashSignature], pairs: list[tuple[str, str]]
-) -> dict[tuple[str, str], float]:
-    """``estimate_jaccard`` of every pair, from one ``uint64[N, k]`` matrix of
-    the signatures, ``_PAIR_CHUNK`` pairs at a time."""
-    if not pairs:
-        return {}
-    rows = {doc_id: i for i, doc_id in enumerate(signatures)}
-    matrix = np.array([sig.values for sig in signatures.values()], dtype=np.uint64)
-    k = matrix.shape[1]
-    estimates: dict[tuple[str, str], float] = {}
-    for start in range(0, len(pairs), _PAIR_CHUNK):
-        chunk = pairs[start : start + _PAIR_CHUNK]
-        ia = np.fromiter((rows[a] for a, _ in chunk), dtype=np.intp, count=len(chunk))
-        ib = np.fromiter((rows[b] for _, b in chunk), dtype=np.intp, count=len(chunk))
-        # Agreeing positions over k, divided as estimate_jaccard divides.
-        agree = (matrix[ia] == matrix[ib]).sum(axis=1)
-        estimates.update(zip(chunk, (agree / k).tolist()))
-    return estimates
 
 
 @dataclass(frozen=True)
@@ -210,13 +253,15 @@ class DuplicateClusterSet:
 
 
 class UnionFind:
-    def __init__(self, ids: Iterable[str] = ()):
-        self.parent: dict[str, str] = {i: i for i in ids}
+    """Disjoint sets; a set's root is its smallest member."""
 
-    def add(self, x: str) -> None:
+    def __init__(self, ids: Iterable[Hashable] = ()):
+        self.parent: dict = {i: i for i in ids}
+
+    def add(self, x) -> None:
         self.parent.setdefault(x, x)
 
-    def find(self, x: str) -> str:
+    def find(self, x):
         root = x
         while self.parent[root] != root:
             root = self.parent[root]
@@ -224,10 +269,18 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x: str, y: str) -> None:
+    def union(self, x, y) -> None:
         px, py = self.find(x), self.find(y)
         if px != py:
             self.parent[max(px, py)] = min(px, py)
+
+
+def _merge(uf: UnionFind, similarity: dict, a, b, score: float) -> None:
+    """Join ``a`` and ``b``, which verified at ``score``, and keep each end's
+    highest merging score."""
+    uf.union(a, b)
+    for x in (a, b):
+        similarity[x] = max(similarity.get(x, score), score)
 
 
 def cluster(
@@ -257,9 +310,7 @@ def cluster(
         if score >= verify_threshold:
             uf.add(a)
             uf.add(b)
-            uf.union(a, b)
-            for doc_id in (a, b):
-                similarity[doc_id] = max(similarity.get(doc_id, score), score)
+            _merge(uf, similarity, a, b, score)
     keys = sort_keys or {}
     by_root: dict[str, list[str]] = {}
     for doc_id in uf.parent:
@@ -270,6 +321,41 @@ def cluster(
         for doc_id in members:
             representative[doc_id] = rep
     return DuplicateClusterSet(representative, similarity)
+
+
+def _cluster_buckets(
+    buckets: Iterable[list[int]],
+    n: int,
+    verify: Callable[[int, int], float],
+    verify_threshold: float,
+) -> tuple[UnionFind, dict[int, float], int]:
+    """Union-find over rows ``0 .. n-1`` joining bucket members whose
+    verified similarity clears the threshold, each member verified against
+    the components already in its bucket; with each merged row's highest
+    merging score and the number of pairs verified."""
+    uf = UnionFind(range(n))
+    similarity: dict[int, float] = {}
+    failed: set[tuple[int, int]] = set()
+    verified = 0
+    for bucket in buckets:
+        present: dict[int, list[int]] = {}  # root -> its members in this bucket so far
+        for row in bucket:
+            joined = present.pop(uf.find(row), [])
+            for root in list(present):
+                for other in present[root]:
+                    if (other, row) in failed:
+                        continue
+                    verified += 1
+                    score = verify(other, row)
+                    if score < verify_threshold:
+                        failed.add((other, row))
+                        continue
+                    _merge(uf, similarity, other, row, score)
+                    joined += present.pop(root)
+                    break
+            joined.append(row)
+            present[uf.find(row)] = joined
+    return uf, similarity, verified
 
 
 @dataclass(frozen=True)
@@ -289,6 +375,14 @@ class DedupResult:
     removed_docs: list[Document] = field(default_factory=list)
     clusters: DuplicateClusterSet | None = None
     workers: int = 1  # processes that shingled and signed the documents
+    verified_pairs: int = 0  # pairs whose similarity was computed
+
+    @property
+    def largest_cluster(self) -> int:
+        """Members of the largest cluster; 0 when no document was signed."""
+        if self.clusters is None:
+            return 0
+        return max(map(len, self.clusters.clusters().values()), default=0)
 
 
 def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
@@ -300,46 +394,67 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     a document they were merged with.
     """
     docs = list(corpus.documents)
+    vocab = _TokenHashes()
+    seeds = _hash_seeds(params.signature_length, params.seed)
 
-    def sign(doc: Document) -> tuple[MinHashSignature, ShingleSet | None] | None:
-        """None for a document too short to shingle; its signature otherwise,
-        with its shingle set only when exact verification will read it."""
-        shingles = shingle(doc, params.ngram_order)
-        if not shingles.shingles:
+    def sign(doc: Document) -> tuple[np.ndarray, ShingleSet | None] | None:
+        """None for a document too short to shingle; its signature row
+        otherwise, with its shingle set only when exact verification reads it."""
+        hashes = _shingle_hashes(doc.text, params.ngram_order, vocab)
+        if not len(hashes):
             return None
-        sig = signature(shingles, params.signature_length, params.seed)
-        return sig, shingles if params.exact_verification else None
+        shingles = None
+        if params.exact_verification:
+            shingles = ShingleSet(frozenset(hashes.tolist()), params.ngram_order)
+        return _sign(hashes, seeds), shingles
 
-    signed, workers = pmap(sign, docs)
-    sigs = {d.id: s[0] for d, s in zip(docs, signed) if s is not None}
+    results, workers = pmap(sign, docs)
+    signed = sorted((i for i, r in enumerate(results) if r is not None),
+                    key=lambda i: docs[i].sort_key())
+    ids = [docs[i].id for i in signed]
+    k = params.signature_length
+    matrix = np.array([results[i][0] for i in signed], dtype=np.uint64).reshape(-1, k)
+    shingle_sets = [results[i][1] for i in signed]
+    del results  # the matrix holds the rows now
+
+    def verify_rows(a: int, b: int) -> float:
+        if params.exact_verification:
+            return exact_jaccard(shingle_sets[a], shingle_sets[b])
+        return int(np.count_nonzero(matrix[a] == matrix[b])) / k
 
     if params.candidates == "lsh":
-        pairs = sorted(lsh_candidates(sigs, params.bands, params.rows))
+        groups = None
+        if params.mode == "per_crawl":
+            collections = [docs[i].collection for i in signed]
+            groups = np.unique(collections, return_inverse=True)[1]
+        buckets = _buckets(matrix, params.bands, params.rows, groups)
+        uf, row_similarity, verified = _cluster_buckets(
+            buckets, len(ids), verify_rows, params.verify_threshold
+        )
+        # Rows follow (collection, id) and a root is its set's smallest row,
+        # so each root is its cluster's representative.
+        cluster_set = DuplicateClusterSet(
+            {doc_id: ids[uf.find(row)] for row, doc_id in enumerate(ids)},
+            {ids[row]: score for row, score in row_similarity.items()},
+        )
     else:
-        pairs = list(combinations(sorted(sigs), 2))
-
-    if params.exact_verification:
-        shingle_sets = {d.id: s[1] for d, s in zip(docs, signed) if s is not None}
+        row_of = {doc_id: row for row, doc_id in enumerate(ids)}
+        verified = 0
 
         def verify(a: str, b: str) -> float:
-            return exact_jaccard(shingle_sets[a], shingle_sets[b])
-    else:
-        estimates = _estimates(sigs, pairs)
+            nonlocal verified
+            verified += 1
+            return verify_rows(row_of[a], row_of[b])
 
-        def verify(a: str, b: str) -> float:
-            return estimates[a, b]
-
-    collections = {d.id: d.collection for d in docs}
-    sort_keys = {d.id: d.sort_key() for d in docs}
-    cluster_set = cluster(
-        pairs,
-        sigs.keys(),
-        verify,
-        params.verify_threshold,
-        mode=params.mode,
-        collections=collections,
-        sort_keys=sort_keys,
-    )
+        cluster_set = cluster(
+            combinations(sorted(ids), 2),
+            ids,
+            verify,
+            params.verify_threshold,
+            mode=params.mode,
+            collections={docs[i].id: docs[i].collection for i in signed},
+            sort_keys={docs[i].id: docs[i].sort_key() for i in signed},
+        )
 
     retained: list[Document] = []
     removals: list[RemovalRecord] = []
@@ -352,4 +467,6 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             removals.append(RemovalRecord(doc.id, rep, cluster_set.similarity[doc.id]))
             removed_docs.append(doc.replace(removed_reason="duplicate"))
     retained_corpus = Corpus(retained, corpus.language)
-    return DedupResult(retained_corpus, removals, removed_docs, cluster_set, workers)
+    return DedupResult(
+        retained_corpus, removals, removed_docs, cluster_set, workers, verified
+    )

@@ -37,7 +37,10 @@ def test_all_runs_every_stage(fixture_dir):
     lid_report = json.loads((out / "lid" / "report.json").read_text())
     assert lid_report["removals"].get("lid_rejected", 0) > 0
     dedup_report = json.loads((out / "dedup" / "report.json").read_text())
-    assert dedup_report["removals"].get("duplicate", 0) > 0
+    assert dedup_report["removals"] == {"duplicate": 10}
+    # The fixture's duplicates are pairs: each merge verified one pair.
+    assert dedup_report["verified_pairs"] == 10
+    assert dedup_report["largest_cluster"] == 2
     assert (out / "package" / ALPHA_LANG / "manifest.json").exists()
     assert (out / "analyze" / "analytics.json").exists()
 

@@ -1,6 +1,11 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +13,9 @@ from refinery.dedup import (
     DedupConfigError,
     DedupParams,
     EmptyShingleSetError,
+    MinHashSignature,
     ShingleSet,
+    _cluster_buckets,
     cluster,
     dedup,
     estimate_jaccard,
@@ -41,6 +48,38 @@ def _pair_with_jaccard(rng, similarity, union_size=600):
     return a, b
 
 
+_REPO = Path(__file__).resolve().parents[1]
+_MASK = (1 << 64) - 1
+
+
+def _env_with_src(**extra):
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _py_mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _py_shingles(text, n):
+    """The documented shingle hash, in plain Python ints."""
+    t = [int.from_bytes(hashlib.blake2b(w.encode("utf-8"), digest_size=8).digest(),
+                        "little")
+         for w in normalize_for_lid(text).split()]
+    g = 0x9E3779B97F4A7C15
+    return {_py_mix64(sum(t[i + j] * g**j for j in range(n)) & _MASK)
+            for i in range(len(t) - n + 1)}
+
+
+def _py_signature(shingles, k, seed):
+    seeds = [_py_mix64((seed + i * 0x9E3779B97F4A7C15) & _MASK) for i in range(1, k + 1)]
+    return tuple(min(_py_mix64(x ^ r) for x in shingles) for r in seeds)
+
+
 class TestShingle:
     def test_enumeration(self):
         s = shingle(_doc("a b c"), n=2)
@@ -62,6 +101,25 @@ class TestShingle:
     def test_rejects_bad_order(self):
         with pytest.raises(DedupConfigError):
             shingle(_doc("a b"), n=0)
+
+    def test_hash_matches_the_documented_definition(self, rng):
+        texts = [random_text(rng, max_lines=3, max_tokens=20) for _ in range(30)]
+        texts += ["a b a b a", "b a", "a b", "İstanbul Ünïcödé çà ça"]
+        for text in texts:
+            for n in (1, 2, 3, 5):
+                assert shingle(_doc(text), n).shingles == _py_shingles(text, n)
+
+    def test_hash_ignores_the_interpreter_hash_seed(self):
+        script = ("from refinery.dedup import shingle; from refinery.documents import "
+                  "Document; print(sorted(shingle(Document(id='d', lang='l', "
+                  "text='uno dos tres cuatro uno dos'), 2).shingles))")
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            outputs.add(subprocess.run([sys.executable, "-c", script],
+                                       env=_env_with_src(PYTHONHASHSEED=hash_seed),
+                                       check=True, capture_output=True,
+                                       text=True, timeout=120).stdout)
+        assert len(outputs) == 1
 
 
 class TestSignature:
@@ -114,6 +172,13 @@ class TestSignature:
             sa, sb = signature(a, 64, seed), signature(b, 64, seed)
             assert estimate_jaccard(sa, sb) == estimate_jaccard(sb, sa)
 
+    @pytest.mark.parametrize("k, size", [(1, 5), (16, 40), (256, 300)])
+    def test_matches_plain_python_minhash(self, rng, k, size):
+        # 300 shingles at k = 256 span two of the signing kernel's blocks.
+        s = ShingleSet(_random_set(rng, size), 5)
+        for seed in (0, 7, 2**64 - 1):
+            assert signature(s, k, seed).values == _py_signature(s.shingles, k, seed)
+
     def test_mismatched_signatures_rejected(self, rng):
         s = ShingleSet(_random_set(rng, 10), 5)
         with pytest.raises(DedupConfigError):
@@ -162,6 +227,19 @@ class TestLsh:
                     expected.add((a, b))
                     break
         assert lsh_candidates(sigs, bands, rows) == expected
+
+    def test_matches_brute_force_on_colliding_values(self, rng):
+        # Values from {0, 1, 2}: rows agree on some band columns and not others.
+        for bands, rows in [(1, 1), (2, 4), (4, 2)]:
+            k = bands * rows
+            sigs = {f"id{i:02d}": MinHashSignature(
+                tuple(rng.randrange(3) for _ in range(k)), k, 0) for i in range(60)}
+            expected = {
+                (a, b) for a, b in combinations(sorted(sigs), 2)
+                if any(sigs[a].values[lo : lo + rows] == sigs[b].values[lo : lo + rows]
+                       for lo in range(0, k, rows))
+            }
+            assert lsh_candidates(sigs, bands, rows) == expected
 
 
 class TestCluster:
@@ -234,6 +312,35 @@ class TestCluster:
             [("x", "y")], ["x", "y"], lambda a, b: 1.0, 0.5, sort_keys=keys
         )
         assert result.representative == {"x": "y", "y": "y"}
+
+
+def test_bucket_clustering_matches_components_of_verified_bucket_pairs(rng):
+    for _ in range(300):
+        n = rng.randint(2, 20)
+        sim = {pair: rng.random() for pair in combinations(range(n), 2)}
+        buckets = [sorted(rng.sample(range(n), rng.randint(2, n)))
+                   for _ in range(rng.randint(0, 5))]
+        threshold = rng.choice([0.2, 0.5, 0.8])
+        calls = []
+
+        def verify(a, b):
+            calls.append((a, b))
+            return sim[a, b]
+
+        uf, similarity, verified = _cluster_buckets(buckets, n, verify, threshold)
+        shared = {pair for bucket in buckets for pair in combinations(bucket, 2)}
+        edges = cluster(sorted(p for p in shared if sim[p] >= threshold), range(n),
+                        lambda a, b: 1.0, 0.5)
+        got = {}
+        for row in range(n):
+            got.setdefault(uf.find(row), set()).add(row)
+        assert sorted(map(sorted, got.values())) == sorted(edges.clusters().values())
+        # Each verified pair shares a bucket and is verified once.
+        assert verified == len(calls) == len(set(calls))
+        assert set(calls) <= shared
+        for row in range(n):
+            merging = [sim[c] for c in calls if row in c and sim[c] >= threshold]
+            assert similarity.get(row) == max(merging, default=None)
 
 
 def _duplicate_corpus(rng, n_groups=30, lang="eng_Latn"):
@@ -362,3 +469,94 @@ class TestDedup:
             assert len(corpus) <= 200
             got = {d.id for d in dedup(corpus, params).retained}
             assert got == self._oracle_retained(corpus, params)
+
+
+def _chain_corpus(rng, n_chains=12):
+    """Chains of documents, each a window of its chain's tokens shifted a
+    little further: neighbours are alike, a chain's ends may not be, and
+    chains share some tokens so that unlike documents share buckets."""
+    pool = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(200)]
+    docs = []
+    for chain in range(n_chains):
+        tokens = [rng.choice(pool) for _ in range(60)]
+        shift = 0
+        for _ in range(rng.randint(1, 6)):
+            docs.append(Document(
+                id=f"c{chain:02d}d{len(docs):03d}", lang="eng_Latn",
+                text=" ".join(tokens[shift : shift + 30]),
+                collection=rng.choice(["crawl-a", "crawl-b"]),
+            ))
+            shift += rng.randint(0, 6)
+    rng.shuffle(docs)
+    return Corpus(docs, "eng_Latn")
+
+
+@pytest.mark.parametrize("mode", ["global", "per_crawl"])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("bands, rows", [(16, 2), (1, 1)])
+def test_lsh_partition_matches_verifying_every_candidate_pair(rng, mode, exact, bands, rows):
+    # With one band of one row, a document shares a bucket with a chain's
+    # end and middle alike, and only the middle may clear the threshold.
+    for threshold in (0.3, 0.5, 0.8):
+        params = DedupParams(ngram_order=2, signature_length=bands * rows, bands=bands,
+                             rows=rows, verify_threshold=threshold, mode=mode,
+                             exact_verification=exact)
+        corpus = _chain_corpus(rng)
+        shingles = {d.id: shingle(d, params.ngram_order) for d in corpus}
+        sigs = {i: signature(s, bands * rows, params.seed) for i, s in shingles.items()}
+        pairs = sorted(lsh_candidates(sigs, params.bands, params.rows))
+
+        def verify(a, b):
+            if exact:
+                return exact_jaccard(shingles[a], shingles[b])
+            return estimate_jaccard(sigs[a], sigs[b])
+
+        expected = cluster(pairs, sigs, verify, threshold, mode=mode,
+                           collections={d.id: d.collection for d in corpus},
+                           sort_keys={d.id: d.sort_key() for d in corpus})
+        result = dedup(corpus, params)
+        assert result.clusters.representative == expected.representative
+        assert result.verified_pairs <= len(pairs)
+        partners = {}
+        for a, b in pairs:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        for record in result.removals:
+            # The estimate is one of the document's own merging pairs.
+            scores = {verify(record.id, x) for x in partners[record.id]}
+            assert record.estimated_jaccard in scores
+            assert threshold <= record.estimated_jaccard <= expected.similarity[record.id]
+
+
+def _near_identical_corpus(rng, n, length=300):
+    """``n`` documents of ``length`` tokens that differ from one base text in
+    one token each."""
+    def word():
+        return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
+
+    base = [word() for _ in range(length)]
+    docs = []
+    for i in range(n):
+        tokens = list(base)
+        tokens[rng.randrange(length)] = word()
+        docs.append(Document(id=f"d{i:05d}", lang="eng_Latn", text=" ".join(tokens)))
+    return Corpus(docs, "eng_Latn")
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_one_large_cluster_verifies_a_linear_number_of_pairs(rng, n):
+    result = dedup(_near_identical_corpus(rng, n), DedupParams())
+    assert len(result.retained) == 1
+    assert result.largest_cluster == n
+    # Every pair here clears the threshold, so each verified pair joins two
+    # clusters: at most n - 1 of them, against about n(n-1)/2 candidate pairs.
+    assert result.verified_pairs < n
+
+
+def test_minhash_calibration_script_runs():
+    result = subprocess.run(
+        [sys.executable, str(_REPO / "scripts" / "minhash_calibration.py"), "--trials", "3"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "banding detection" in result.stdout
