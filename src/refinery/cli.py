@@ -11,11 +11,15 @@ files; one runner writes ``documents.jsonl`` (lid, dedup, score),
 input once and hands documents from stage to stage in memory, writing the
 same files as separate runs chained through ``--input``. Every stage after
 lid checks that its input file is a corpus in ``language`` with unique ids.
-lid's per-document classification and dedup's shingling and signing run in
-``parallel.pmap``: in forked worker processes, one per usable CPU and at
-most one per ``MIN_CHUNK`` documents, and serially below two; their
-``report.json`` gives ``workers``. There is no setting for it. Every file is
-written atomically (``write_atomic``). REFINERY_LOG sets the log level.
+lid scores every document and segment in one serial pass
+(``NgramLanguageClassifier.predict_documents``); its ``report.json``
+counts the documents it ``rejected`` and the texts whose verdict
+``predict`` decided again (``exact_rescored``). Only dedup forks: its
+shingling and signing run in ``parallel.pmap``, in worker processes, one
+per usable CPU and at most one per ``MIN_CHARS`` characters of document
+text, and serially below two; its ``report.json`` gives ``workers``. There
+is no setting for it. Every file is written atomically (``write_atomic``).
+REFINERY_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -49,15 +53,17 @@ from .evalagg import (
     render_ranking,
     select_tasks,
 )
-from .lid import (
+# classify stays bound here for the benchmark's tracer test.
+from .lid import (  # noqa: F401
     ClassifierError,
     NgramLanguageClassifier,
     classify,
     in_language_share,
+    normalize_for_lid,
     profile_segments,
 )
 from .packaging import package_corpus
-from .parallel import WorkerError, pmap
+from .parallel import WorkerError
 from .stopwords import get_stopwords, load_stopword_file
 from .wds import filter_by_level, score_document
 
@@ -108,27 +114,21 @@ def stage_lid(
         raise StageError(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
-
-    def judge(doc: Document) -> tuple[str, ...] | None:
-        """None for a rejected document; its segment labels otherwise."""
-        pred = classify(doc.text, model)
-        if pred.label != config.language or pred.confidence < config.lid.min_confidence:
-            return None
-        return profile_segments(doc, model).seg_langs
-
-    # Segmented here, the documents reach forked workers with their
-    # segments, and later stages never segment them again.
-    for doc in docs:
-        doc.segments
-    verdicts, workers = pmap(judge, docs)
+    min_confidence = config.lid.min_confidence
+    verdicts = model.predict_documents(
+        ([normalize_for_lid(seg.text) for seg in doc.segments] for doc in docs),
+        min_confidence,
+    )
     kept: list[Document] = []
     rejected: list[Document] = []
-    for doc, seg_langs in zip(docs, verdicts):
-        if seg_langs is None:
+    rescored = 0
+    for doc, (pred, seg_langs, redone) in zip(docs, verdicts):
+        rescored += redone
+        if pred.label != config.language or pred.confidence < min_confidence:
             rejected.append(doc.replace(removed_reason="lid_rejected"))
         else:
             kept.append(doc.replace(lang=config.language, seg_langs=seg_langs))
-    return kept, rejected, {"workers": workers}
+    return kept, rejected, {"rejected": len(rejected), "exact_rescored": rescored}
 
 
 def stage_dedup(

@@ -408,7 +408,7 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             shingles = ShingleSet(frozenset(hashes.tolist()), params.ngram_order)
         return _sign(hashes, seeds), shingles
 
-    results, workers = pmap(sign, docs)
+    results, workers = pmap(sign, docs, sum(len(doc.text) for doc in docs))
     signed = sorted((i for i, r in enumerate(results) if r is not None),
                     key=lambda i: docs[i].sort_key())
     ids = [docs[i].id for i in signed]

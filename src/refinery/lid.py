@@ -11,22 +11,34 @@ The built-in scorer keeps its log-probabilities as one dense matrix with a
 row per known n-gram and a column per label, plus a last row of unseen-gram
 fallbacks: a prediction is one n-gram extraction and one gather over that
 matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
-Web text repeats header and footer lines, so predictions are remembered
-for up to ``_MEMO_LIMIT`` distinct short inputs per classifier.
+
+``predict_documents`` scores whole corpora: every document (its normalized
+segments joined by spaces) and every segment in one pass. Each order-n
+window packs its code points into a ``uint64`` key, 21 bits each, and
+``searchsorted`` over the model's sorted keys finds its matrix row; one
+``np.bincount`` per label sums the rows by document and another by
+segment. The text is cut into blocks of ``_BLOCK_CHARS`` window starts,
+each carrying the next (max order - 1) characters, so memory stays a few
+MB whatever the corpus or document size. Those sums add the terms in
+another order than ``predict``, so each text gets a bound on the
+difference (``_rounding_bound``): n terms of at most M in magnitude,
+added in any order, land within n * n * M * 2**-53 of the exact sum. A
+text whose top-two gap, or whose confidence's distance to
+``min_confidence``, is within the bound is decided again by ``predict``,
+so labels and rejections equal ``predict``'s.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import unicodedata
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -40,13 +52,13 @@ from .documents import Document, segment_text, write_atomic  # noqa: F401
 # characters so the output is uppercase-free by construction.
 _KEEP_CATEGORIES = frozenset({"Ll", "Lm", "Lo", "Mn", "Mc", "Me"})
 
-# Distinct normalized inputs whose prediction a classifier remembers; once
-# the memo is full, further inputs are scored without being stored. Only
-# inputs up to _MEMO_MAX_CHARS long are stored: repeated boilerplate lines
-# are short, whole documents rarely repeat, and the cap bounds the memo's
-# memory by size as well as by count.
-_MEMO_LIMIT = 65_536
-_MEMO_MAX_CHARS = 256
+# Window starts per block of predict_documents: its arrays take a few
+# hundred bytes per start, so a block's transient memory stays a few MB.
+_BLOCK_CHARS = 1 << 14
+# Bits per code point in a packed gram key; code points are below 2**21,
+# so a uint64 key holds a gram of up to _KEY_ORDER of them.
+_KEY_BITS = 21
+_KEY_ORDER = 64 // _KEY_BITS
 
 
 class ClassifierError(Exception):
@@ -141,6 +153,50 @@ def _char_ngrams(text: str, orders: tuple[int, ...]) -> Counter:
     return Counter(chain.from_iterable(by_order[n] for n in orders))
 
 
+def _pack(gram: str) -> int:
+    """A gram's key: its code points, _KEY_BITS bits each, first one highest.
+    Code points in text are never 0, so keys of different orders differ."""
+    key = 0
+    for ch in gram:
+        key = key << _KEY_BITS | ord(ch)
+    return key
+
+
+def _rounding_bound(windows: np.ndarray, magnitude: float) -> np.ndarray:
+    """How far apart two float64 sums of the same ``windows`` terms, each at
+    most ``magnitude`` in size, may be when added in different orders.
+
+    Added in any order, n terms land within about n * 2**-53 times the sum
+    of their magnitudes, here at most n * magnitude, of their exact sum
+    (Higham 2002, section 4.2); ``predict``'s products of a count and a
+    log-probability add one rounding per term. So two such sums differ by
+    at most about 2 * n * n * magnitude * 2**-53, and the bound is twice
+    that.
+    """
+    return (windows + 1) * windows * magnitude * 2.0**-51
+
+
+def _blocks(parts: Iterable[str], size: int, overlap: int) -> Iterator[tuple[str, int]]:
+    """Cut the concatenation of ``parts`` into blocks, each owning the window
+    starts at its first ``size`` characters (the last block's may be fewer)
+    and holding ``overlap`` characters more, so that every window of up to
+    ``overlap + 1`` characters lies inside the block that owns its start."""
+    held: list[str] = []
+    count = 0
+    for part in parts:
+        held.append(part)
+        count += len(part)
+        if count >= size + overlap:
+            text, start = "".join(held), 0
+            while len(text) - start >= size + overlap:
+                yield text[start:start + size + overlap], size
+                start += size
+            held, count = [text[start:]], len(text) - start
+    text = "".join(held)
+    for start in range(0, len(text), size):
+        yield text[start:start + size + overlap], min(size, len(text) - start)
+
+
 class NgramLanguageClassifier:
     """Character n-gram multinomial scorer over a fixed label inventory.
 
@@ -176,8 +232,7 @@ class NgramLanguageClassifier:
             matrix[[rows[g] for g in table], column] = list(table.values())
         self._rows = rows
         self._matrix = matrix
-        self._memo: dict[str, LangPrediction] = {}
-        self._memo_lock = threading.Lock()  # callers may share a model across threads
+        self._index: tuple[np.ndarray, np.ndarray, float] | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -212,9 +267,6 @@ class NgramLanguageClassifier:
     def predict(self, normalized_text: str) -> LangPrediction:
         if not normalized_text:
             return LangPrediction("und", 0.0)
-        known = self._memo.get(normalized_text)
-        if known is not None:
-            return known
         grams = _char_ngrams(normalized_text, self._orders)
         n = len(grams)
         rows = np.fromiter(
@@ -227,12 +279,167 @@ class NgramLanguageClassifier:
         scores = (self._matrix[rows] * counts[:, None]).sum(axis=0).tolist()
         peak, best = max(zip(scores, self._labels))
         denom = sum(math.exp(s - peak) for s in scores)
-        prediction = LangPrediction(best, 1.0 / denom)
-        if len(normalized_text) <= _MEMO_MAX_CHARS:
-            with self._memo_lock:
-                if len(self._memo) < _MEMO_LIMIT:
-                    self._memo[normalized_text] = prediction
-        return prediction
+        return LangPrediction(best, 1.0 / denom)
+
+    def predict_documents(
+        self, segments: Iterable[Sequence[str]], min_confidence: float
+    ) -> Iterator[tuple[LangPrediction, tuple[str, ...], int]]:
+        """Predict every document and label every segment in one pass.
+
+        Each item of ``segments`` holds one document's segments, normalized
+        by ``normalize_for_lid``; the document's normalized text is its
+        non-empty segments joined by one space. Items are read as the pass
+        reaches them. Yields, per document in order, its prediction, its
+        segment labels ("und" for an empty segment) and how many of its
+        texts ``predict`` decided again. Every label, and whether a
+        document's confidence is below ``min_confidence``, equals
+        ``predict``'s on the same text; a confidence may differ from
+        ``predict``'s in its last bits.
+        """
+        if max(self._orders, default=1) > _KEY_ORDER:
+            # Keys cannot hold these grams: predict decides every text.
+            for segs in segments:
+                text = " ".join(seg for seg in segs if seg)
+                labels = tuple(self.predict(seg).label for seg in segs)
+                yield self.predict(text), labels, bool(text) + sum(map(bool, segs))
+            return
+
+        # Documents and pieces (non-empty segments) the pass has read and not
+        # yet decided, and the labels of decided pieces whose document is not.
+        docs: deque[tuple[Sequence[str], list[str]]] = deque()
+        pieces: deque[str] = deque()
+        piece_labels: deque[tuple[str, bool]] = deque()
+
+        def stream() -> Iterator[str]:
+            for segs in segments:
+                text = [seg for seg in segs if seg]
+                docs.append((segs, text))
+                pieces.extend(text)
+                if text:
+                    yield "\x01".join(text) + "\x00"
+
+        def document(
+            segs: Sequence[str], prediction: LangPrediction, redone: int
+        ) -> tuple[LangPrediction, tuple[str, ...], int]:
+            labelled = [piece_labels.popleft() if seg else ("und", False) for seg in segs]
+            redone += sum(again for _, again in labelled)
+            return prediction, tuple(label for label, _ in labelled), redone
+
+        labels = self._labels
+        nothing = LangPrediction("und", 0.0)
+        for doc_sums, piece_sums in self._block_sums(stream()):
+            done = [pieces.popleft() for _ in range(len(piece_sums))]
+            best, _, again = self._settle(piece_sums, [len(p) for p in done], None)
+            piece_labels.extend((self.predict(piece).label, True) if redo else (labels[i], False)
+                                for piece, i, redo in zip(done, best.tolist(), again.tolist()))
+            ended, count = [], len(doc_sums)
+            while count:
+                ended.append(docs.popleft())
+                count -= bool(ended[-1][1])
+            best, conf, again = self._settle(
+                doc_sums, [sum(map(len, text)) + len(text) - 1 for _, text in ended if text],
+                min_confidence)
+            verdicts = zip(best.tolist(), conf.tolist(), again.tolist())
+            for segs, text in ended:
+                if not text:
+                    yield document(segs, nothing, 0)
+                    continue
+                i, confidence, redo = next(verdicts)
+                if redo:
+                    yield document(segs, self.predict(" ".join(text)), 1)
+                else:
+                    yield document(segs, LangPrediction(labels[i], confidence), 0)
+        for segs, _ in docs:  # documents without text after the last one with text
+            yield document(segs, nothing, 0)
+
+    def _key_index(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The packed keys of the known grams, sorted and ending in a key no
+        window has; a [labels, keys] array of their log-probabilities, the
+        last column holding the fallbacks; and the largest log-probability
+        magnitude. Built on first use."""
+        if self._index is None:
+            grams = [g for g in self._rows if 0 < len(g) <= _KEY_ORDER and "\x00" not in g]
+            keys = np.array([_pack(g) for g in grams] + [2**64 - 1], dtype=np.uint64)
+            rows = np.array([self._rows[g] for g in grams] + [len(self._rows)], dtype=np.intp)
+            order = np.argsort(keys)
+            self._index = (
+                keys[order],
+                np.ascontiguousarray(self._matrix[rows[order]].T),
+                float(np.abs(self._matrix).max()),
+            )
+        return self._index
+
+    def _block_sums(self, stream: Iterable[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per block of ``stream``, the score sums of the documents and of the
+        pieces that end in it, each a [texts, labels] array.
+
+        The stream gives each document as its pieces joined by U+0001 and
+        followed by U+0000; neither character occurs in normalized text. A
+        window belongs to a document if it holds no U+0000, and to a piece if
+        it holds neither; the others are summed into a last, discarded bin.
+        The sums of the text open at a block's end carry over to the next.
+        """
+        keys, columns, _ = self._key_index()
+        unseen = len(keys) - 1
+        top = max(self._orders, default=1)
+        carry_doc = np.zeros(len(self._labels))
+        carry_piece = np.zeros(len(self._labels))
+        for block, owned in _blocks(stream, _BLOCK_CHARS, top - 1):
+            code = np.frombuffer(block.encode("utf-32-le"), dtype=np.uint32)
+            # Documents and pieces begun before each position.
+            doc_of = np.zeros(len(code) + 1, dtype=np.intp)
+            np.cumsum(code == 0, out=doc_of[1:])
+            piece_of = np.zeros(len(code) + 1, dtype=np.intp)
+            np.cumsum(code <= 1, out=piece_of[1:])
+            open_doc, open_piece = doc_of[owned], piece_of[owned]
+            doc_sums = np.zeros((len(columns), open_doc + 2))
+            piece_sums = np.zeros((len(columns), open_piece + 2))
+            chars = code.astype(np.uint64)
+            chars[code == 1] = ord(" ")
+            key = chars
+            for n in range(1, top + 1):
+                if n > 1:
+                    key = (key[:-1] << np.uint64(_KEY_BITS)) | chars[n - 1:]
+                m = min(owned, len(key))
+                doc_bin = np.where(doc_of[n:n + m] == doc_of[:m], doc_of[:m], open_doc + 1)
+                piece_bin = np.where(piece_of[n:n + m] == piece_of[:m], piece_of[:m],
+                                     open_piece + 1)
+                at = np.searchsorted(keys, key[:m])
+                at[keys[at] != key[:m]] = unseen
+                for _ in range(self._orders.count(n)):
+                    for column, doc_row, piece_row in zip(columns, doc_sums, piece_sums):
+                        terms = column[at]
+                        doc_row += np.bincount(doc_bin, terms, open_doc + 2)
+                        piece_row += np.bincount(piece_bin, terms, open_piece + 2)
+            doc_sums[:, 0] += carry_doc
+            piece_sums[:, 0] += carry_piece
+            carry_doc = doc_sums[:, open_doc].copy()
+            carry_piece = piece_sums[:, open_piece].copy()
+            yield doc_sums[:, :open_doc].T, piece_sums[:, :open_piece].T
+
+    def _settle(
+        self, sums: np.ndarray, lengths: list[int], min_confidence: float | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each text's best label index and confidence from its score sums,
+        and whether ``predict`` must decide it again: its top-two gap, or
+        with ``min_confidence`` its confidence's distance to that, is within
+        the rounding bound. A tie is within any bound, so ``predict``'s tie
+        rule decides it."""
+        n_labels = sums.shape[1]
+        best = np.argmax(sums, axis=1)
+        peak = sums.max(axis=1)
+        runner_up = (np.partition(sums, n_labels - 2, axis=1)[:, n_labels - 2]
+                     if n_labels > 1 else np.full(len(sums), -np.inf))
+        chars = np.array(lengths, dtype=np.float64)
+        windows = sum(np.maximum(chars - (n - 1), 0) for n in self._orders)
+        bound = _rounding_bound(windows, self._key_index()[2])
+        conf = 1.0 / np.exp(sums - peak[:, None]).sum(axis=1)
+        # Written as "not clear of" so that a NaN sends the text to predict.
+        again = ~(peak - runner_up > 2 * bound)
+        if min_confidence is not None:
+            slack = conf * (5 * bound + (n_labels + 2) * 2.0**-50)
+            again |= ~(np.abs(conf - min_confidence) > slack)
+        return best, conf, again
 
     def save(self, path: str | Path) -> None:
         payload = {

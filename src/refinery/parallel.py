@@ -1,11 +1,12 @@
 """One order-preserving process map for per-document work.
 
-``pmap(fn, items)`` computes ``[fn(x) for x in items]``. Given at least
-``MIN_CHUNK`` items per worker and two usable CPUs, it splits the items
-into one contiguous chunk per worker and maps the chunks in forked worker
-processes. ``fn`` and ``items`` reach the workers through fork, from the
-module global ``_task``, so a classifier or a config is never pickled:
-only chunk bounds go out and results come back. It runs serially with
+``pmap(fn, items, chars)`` computes ``[fn(x) for x in items]``, where
+``chars`` is the size of the items' text in characters. Given at least
+``MIN_CHARS`` characters per worker and two usable CPUs, it splits the
+items into one contiguous chunk per worker and maps the chunks in forked
+worker processes. ``fn`` and ``items`` reach the workers through fork,
+from the module global ``_task``, so a config is never pickled: only
+chunk bounds go out and results come back. It runs serially with
 fewer than two workers, where ``fork`` is unavailable, and inside a
 worker. ``multiprocessing`` is imported only when a map forks.
 """
@@ -15,8 +16,12 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence
 
-# Fewest items per worker: a smaller chunk saves less than the fork costs.
-MIN_CHUNK = 64
+# Fewest text characters per worker: with less, a worker saves less than
+# its fork costs. Dedup's shingling and signing, on prefixes of the lid
+# output of the 20k-document demo fixture, took as long serially as with
+# two workers at about 0.48M characters in all, less below and more above
+# (2-vCPU host); so two workers start at 2**19 characters (0.52M).
+MIN_CHARS = 1 << 18
 
 _task: tuple[Callable, Sequence] | None = None
 _in_worker = False
@@ -44,11 +49,11 @@ def _map_chunk(start: int, stop: int) -> list:
     return [fn(item) for item in items[start:stop]]
 
 
-def pmap(fn: Callable, items: Sequence) -> tuple[list, int]:
+def pmap(fn: Callable, items: Sequence, chars: int) -> tuple[list, int]:
     """``[fn(x) for x in items]`` in order, and the number of processes that
     computed it. An exception raised by ``fn`` in a worker is raised here."""
     global _task
-    workers = min(usable_cpus(), len(items) // MIN_CHUNK)
+    workers = min(usable_cpus(), len(items), chars // MIN_CHARS)
     if workers >= 2 and not _in_worker:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -18,6 +18,9 @@ from conftest import (
     snapshot_tree as _tree,
 )
 
+# The module: the package attribute refinery.dedup is the dedup function.
+refinery_dedup = sys.modules["refinery.dedup"]
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -36,6 +39,10 @@ def test_all_runs_every_stage(fixture_dir):
         assert (out / stage / "report.json").exists()
     lid_report = json.loads((out / "lid" / "report.json").read_text())
     assert lid_report["removals"].get("lid_rejected", 0) > 0
+    # Every planted foreign document is rejected, and no document or segment
+    # comes near a tie, so predict decides none of them again.
+    assert lid_report["rejected"] == lid_report["removals"]["lid_rejected"] == 30
+    assert lid_report["exact_rescored"] == 0
     dedup_report = json.loads((out / "dedup" / "report.json").read_text())
     assert dedup_report["removals"] == {"duplicate": 10}
     # The fixture's duplicates are pairs: each merge verified one pair.
@@ -610,12 +617,11 @@ def test_all_on_one_and_on_many_chunks_writes_the_same_tree(
     trees = {}
     for cpus in (1, 3):
         monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(refinery.parallel, "MIN_CHUNK", 16)
+        monkeypatch.setattr(refinery.parallel, "MIN_CHARS", 1000)
         out = tmp_path / f"cpus{cpus}"
         assert main(["all", "--config", str(config_path), "--output", str(out)]) == 0
-        for stage in ("lid", "dedup"):
-            report = json.loads((out / stage / "report.json").read_text())
-            assert report["workers"] == cpus, stage
+        report = json.loads((out / "dedup" / "report.json").read_text())
+        assert report["workers"] == cpus
         trees[cpus] = _without_workers(_tree(out))
     assert trees[1] == trees[3]
 
@@ -625,20 +631,26 @@ def test_killed_worker_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monk
     import signal
 
     root, config_path = fixture_dir
-    classify = refinery.cli.classify
+    lid_out = tmp_path / "lid"
+    assert main(["lid", "--config", str(config_path), "--output", str(lid_out)]) == 0
+    capsys.readouterr()
+    shingle_hashes = refinery_dedup._shingle_hashes
 
-    def die_in_a_worker(text, model):
+    def die_in_a_worker(text, n, vocab):
         if refinery.parallel._in_worker:
             os.kill(os.getpid(), signal.SIGKILL)
-        return classify(text, model)
+        return shingle_hashes(text, n, vocab)
 
     monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(refinery.cli, "classify", die_in_a_worker)
-    assert main(["lid", "--config", str(config_path), "--output", str(tmp_path)]) == 1
+    monkeypatch.setattr(refinery.parallel, "MIN_CHARS", 1000)
+    monkeypatch.setattr(refinery_dedup, "_shingle_hashes", die_in_a_worker)
+    out = tmp_path / "dedup"
+    assert main(["dedup", "--config", str(config_path), "--input",
+                 str(lid_out / "documents.jsonl"), "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("refinery: lid failed: a worker process died: ")
+    assert err.startswith("refinery: dedup failed: a worker process died: ")
     assert err.count("\n") == 1
-    assert not (tmp_path / "report.json").exists()
+    assert not (out / "report.json").exists()
 
 
 def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):

@@ -1,11 +1,10 @@
 import json
 import math
 import random
-import sys
 import unicodedata
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -251,37 +250,152 @@ def test_exact_tie_goes_to_larger_label():
         assert _reference_predict(payload, text) == LangPrediction("lang_y", 0.5)
 
 
-def test_memo_is_bounded(two_alphabet_model, monkeypatch):
-    model, a_words, _ = two_alphabet_model
-    monkeypatch.setattr(lid, "_MEMO_LIMIT", 3)
-    for word in a_words:
-        model.predict(word)
-    assert len(model._memo) == 3
-    assert model.predict(a_words[-1]) == model.predict(a_words[-1])
+def _segment_normals(texts: list[str]) -> list[list[str]]:
+    return [[normalize_for_lid(seg.text) for seg in Document(id="d", lang="x", text=t).segments]
+            for t in texts]
 
 
-def test_long_inputs_are_not_memoized(two_alphabet_model):
-    model, a_words, _ = two_alphabet_model
-    short = " ".join(a_words)
-    long = " ".join([short] * (lid._MEMO_MAX_CHARS // len(short) + 1))
-    assert len(long) > lid._MEMO_MAX_CHARS
-    model.predict(short)
-    assert model.predict(long) == model.predict(long)
-    assert list(model._memo) == [short]
+def _predict_documents(model, segments, min_confidence: float):
+    """predict_documents's predictions, segment labels and re-decided texts."""
+    rows = list(model.predict_documents(segments, min_confidence))
+    return [row[0] for row in rows], [row[1] for row in rows], sum(row[2] for row in rows)
 
 
-def test_memo_bound_holds_under_threads(two_alphabet_model, monkeypatch, rng):
-    model, a_words, b_words = two_alphabet_model
-    texts = [" ".join(rng.choices(a_words + b_words, k=4)) for _ in range(400)]
-    serial = NgramLanguageClassifier(model._log_probs, model._fallback, model._orders)
-    expected = [serial.predict(t) for t in texts] * 3
-    monkeypatch.setattr(lid, "_MEMO_LIMIT", 50)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(model.predict, texts * 3, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(model._memo) == 50
-    assert got == expected
+def _check_against_predict(model, texts: list[str], min_confidence: float) -> int:
+    """predict_documents's labels and verdicts against classify's per text;
+    returns the number of texts it decided again."""
+    predictions, seg_labels, rescored = _predict_documents(
+        model, _segment_normals(texts), min_confidence)
+    expected = [classify(t, model) for t in texts]
+    assert [p.label for p in predictions] == [e.label for e in expected]
+    assert ([p.confidence < min_confidence for p in predictions]
+            == [e.confidence < min_confidence for e in expected])
+    for got, e in zip(predictions, expected):
+        assert abs(got.confidence - e.confidence) <= 1e-9
+    assert seg_labels == [
+        tuple(classify(seg.text, model).label
+              for seg in Document(id="d", lang="x", text=t).segments)
+        for t in texts
+    ]
+    return rescored
+
+
+_MIXED_DOCUMENTS = st.lists(st.text(alphabet=_MIXED_ALPHABET, max_size=300), max_size=6)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_DOCUMENTS, st.integers(min_value=0))
+def test_predict_documents_matches_predict(three_alphabet_model, texts, pick):
+    model, _ = three_alphabet_model
+    _check_against_predict(model, texts, 0.0)
+    # A threshold planted at one text's own confidence, and just above it.
+    confidences = [classify(t, model).confidence for t in texts]
+    planted = confidences[pick % len(confidences)] if confidences else 0.5
+    _check_against_predict(model, texts, planted)
+    _check_against_predict(model, texts, float(np.nextafter(planted, 1.0)))
+
+
+def test_planted_confidence_is_decided_by_predict(three_alphabet_model, rng):
+    model, _ = three_alphabet_model
+    # A document mixing two scripts, so that its confidence is not 1.0.
+    text, confidence = next(
+        (t, classify(t, model).confidence) for t in (
+            "".join(rng.choice(_LATIN + _CYRILLIC) for _ in range(8)) for _ in range(1000))
+        if 0.01 < classify(t, model).confidence < 0.99
+    )
+    for threshold, rejected in ((confidence, False), (float(np.nextafter(confidence, 1.0)), True)):
+        (prediction,), _, rescored = _predict_documents(
+            model, _segment_normals([text]), threshold)
+        assert (prediction.confidence < threshold) is rejected
+        assert rescored == 1  # the document; its one segment is far from a tie
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_documents_and_windows_straddle_blocks(three_alphabet_model, monkeypatch, block):
+    model, _ = three_alphabet_model
+    rng = random.Random(block)
+    texts = ["".join(rng.choice(_MIXED_ALPHABET) for _ in range(rng.randint(0, 120)))
+             for _ in range(25)] + ["", "\n\n", "!! 12", "a\n\nб\n7\nγ"]
+    rng.shuffle(texts)
+    monkeypatch.setattr(lid, "_BLOCK_CHARS", block)
+    _check_against_predict(model, texts, 0.0)
+    _check_against_predict(model, texts, 0.9)
+
+
+def _tied_model(delta: float) -> NgramLanguageClassifier:
+    """Two labels whose tables differ only in the log-probability of "b",
+    by ``delta``: every text without a "b" is an exact tie."""
+    table = {"a": -1.0, "b": -2.0, "c": -0.5, "ab": -3.0, "bc": -2.5, "abc": -4.0}
+    other = dict(table, b=-2.0 + delta)
+    return NgramLanguageClassifier({"lang_x": table, "lang_y": other},
+                                   {"lang_x": -5.0, "lang_y": -5.0}, (1, 2, 3))
+
+
+_ULP_OF_TWO = 2.0**-51
+
+
+@pytest.mark.parametrize("delta, rescored", [
+    # Every document and segment ties exactly or within the bound.
+    (0.0, 14), (1e-300, 14), (_ULP_OF_TWO, 14), (-_ULP_OF_TWO, 14),
+    # Those holding a "b" are clear of a tie: the 7 without one tie exactly.
+    (1e-3, 7), (-1e-3, 7),
+])
+def test_exact_and_near_ties_are_decided_by_predict(delta, rescored):
+    model = _tied_model(delta)
+    texts = ["ab c\nca", "abcabc\nb", "cc\naa", "q", "b" * 50 + "\n" + "c" * 40]
+    assert _check_against_predict(model, texts, 0.0) == rescored
+
+
+def test_exact_tie_in_predict_documents_goes_to_larger_label():
+    model = _tied_model(0.0)
+    (prediction,), (labels,), _ = _predict_documents(model, [["ab", "ba zz"]], 0.0)
+    assert prediction == LangPrediction("lang_y", 0.5)
+    assert labels == ("lang_y", "lang_y")
+
+
+def test_inflated_bound_sends_every_text_to_predict(three_alphabet_model, monkeypatch, rng):
+    model, _ = three_alphabet_model
+    texts = ["".join(rng.choice(_MIXED_ALPHABET) for _ in range(rng.randint(0, 150)))
+             for _ in range(20)]
+    segments = _segment_normals(texts)
+    expected = _predict_documents(model, segments, 0.3)
+    calls = []
+    predict = model.predict
+    monkeypatch.setattr(model, "predict", lambda text: calls.append(text) or predict(text))
+    monkeypatch.setattr(lid, "_rounding_bound", lambda windows, magnitude: windows * 0 + 1e300)
+    got = _predict_documents(model, segments, 0.3)
+    pieces = [seg for segs in segments for seg in segs if seg]
+    assert len(calls) == got[2] == sum(map(any, segments)) + len(pieces)
+    assert got[0] == [predict(" ".join(filter(None, segs))) for segs in segments]
+    assert [p.label for p in got[0]] == [p.label for p in expected[0]]
+    assert got[1] == expected[1]
+
+
+def test_orders_beyond_a_key_are_decided_by_predict():
+    model = NgramLanguageClassifier.train(
+        {"lang_a": "abada beef cafe dada fade decaf " * 20,
+         "lang_b": "tutu wuzzy vuvu zyzzyva yutz xyst " * 20},
+        orders=(1, 2, 4),
+    )
+    texts = ["beef cafe\nyutz", "", "xyst\n\n99\ndecaf fade"]
+    assert _check_against_predict(model, texts, 0.5) == 2 + 4
+
+
+def test_single_label_model():
+    model = NgramLanguageClassifier({"only": {"a": -1.0}}, {"only": -2.0}, (1, 2))
+    predictions, labels, rescored = _predict_documents(model, [["ab", ""], []], 0.0)
+    assert predictions == [LangPrediction("only", 1.0), LangPrediction("und", 0.0)]
+    assert labels == [("only", "und"), ()]
+    assert rescored == 0
+
+
+_SEGMENT_ALPHABET = "aZ İıΣσς\u0301\u20dd\r\x1c\x85\u2028\t\n .'"
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_SEGMENT_ALPHABET, max_size=80))
+def test_document_normal_is_its_segment_normals_joined(text):
+    (normals,) = _segment_normals([text])
+    assert normalize_for_lid(text) == " ".join(n for n in normals if n)
