@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -59,7 +60,7 @@ from .lid import (  # noqa: F401
     NgramLanguageClassifier,
     classify,
     in_language_share,
-    normalize_for_lid,
+    normalize_many,
     profile_segments,
 )
 from .packaging import package_corpus
@@ -115,9 +116,9 @@ def stage_lid(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
     min_confidence = config.lid.min_confidence
+    normals = normalize_many(seg.text for doc in docs for seg in doc.segments)
     verdicts = model.predict_documents(
-        ([normalize_for_lid(seg.text) for seg in doc.segments] for doc in docs),
-        min_confidence,
+        (list(islice(normals, len(doc.segments))) for doc in docs), min_confidence
     )
     kept: list[Document] = []
     rejected: list[Document] = []

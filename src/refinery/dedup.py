@@ -15,15 +15,19 @@ seed. Each mix64(. ^ r_i) is a bijection of the 64-bit space with strong
 avalanche, so component agreement estimates Jaccard similarity the same
 way seeded permutations would, and everything vectorizes in uint64.
 
-Documents are shingled and signed in one ``parallel.pmap``, one
-``uint64`` row each, and the rows form one matrix. LSH buckets the rows
-whose values in a band are identical (per crawl, within a collection).
-Each bucket member is verified against the components already in its
-bucket; a pair in one component is never verified and a failed pair is
-not verified twice, so the partition is that of verifying every pair
-sharing a bucket, at a cost linear in the bucket for a cluster of
-near-duplicates. A pair's estimate is the share of agreeing positions of
-its two rows; with exact_verification it is the true Jaccard of the
+Documents are shingled and signed in one ``parallel.pmap`` over their
+indices, one ``uint64`` row each, and the rows form one matrix. Each
+worker walks a contiguous run of indices and normalizes its documents'
+texts with ``lid.normalize_many``, a block at a time, as it goes; the
+normalized text is not kept on ``Document``, since normalizing in blocks
+costs little and a kept copy would hold memory across stages. LSH
+buckets the rows whose values in a band are identical (per crawl, within
+a collection). Each bucket member is verified against the components
+already in its bucket; a pair in one component is never verified and a
+failed pair is not verified twice, so the partition is that of verifying
+every pair sharing a bucket, at a cost linear in the bucket for a cluster
+of near-duplicates. A pair's estimate is the share of agreeing positions
+of its two rows; with exact_verification it is the true Jaccard of the
 shingle sets, which are kept only then. The all-pairs mode, for small
 corpora and oracle testing, verifies every pair through ``cluster``.
 """
@@ -38,7 +42,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .documents import Corpus, Document
-from .lid import normalize_for_lid
+from .lid import normalize_for_lid, normalize_many
 from .parallel import pmap
 
 PairVerifier = Callable[[str, str], float]
@@ -127,10 +131,11 @@ class _TokenHashes(dict):
         return value
 
 
-def _shingle_hashes(text: str, n: int, vocab: _TokenHashes) -> np.ndarray:
-    """The shingle hash of each word n-gram window of ``text``, repeats
-    included (see the module docstring); empty below ``n`` tokens."""
-    tokens = normalize_for_lid(text).split()
+def _shingle_hashes(normalized: str, n: int, vocab: _TokenHashes) -> np.ndarray:
+    """The shingle hash of each word n-gram window of a LID-normalized
+    text, repeats included (see the module docstring); empty below ``n``
+    tokens."""
+    tokens = normalized.split()
     windows = len(tokens) - n + 1
     if windows < 1:
         return np.empty(0, dtype=np.uint64)
@@ -157,7 +162,8 @@ def shingle(doc: Document, n: int) -> ShingleSet:
     """Hash every contiguous word n-gram of the LID-normalized text."""
     if n < 1:
         raise DedupConfigError("shingle order n must be >= 1")
-    return ShingleSet(frozenset(_shingle_hashes(doc.text, n, _TokenHashes()).tolist()), n)
+    hashes = _shingle_hashes(normalize_for_lid(doc.text), n, _TokenHashes())
+    return ShingleSet(frozenset(hashes.tolist()), n)
 
 
 def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
@@ -397,10 +403,19 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     vocab = _TokenHashes()
     seeds = _hash_seeds(params.signature_length, params.seed)
 
-    def sign(doc: Document) -> tuple[np.ndarray, ShingleSet | None] | None:
-        """None for a document too short to shingle; its signature row
-        otherwise, with its shingle set only when exact verification reads it."""
-        hashes = _shingle_hashes(doc.text, params.ngram_order, vocab)
+    # The normalized texts of docs[following:]. A worker maps one contiguous
+    # run of indices, so it starts this once and normalizes each block once.
+    normals, following = normalize_many(doc.text for doc in docs), 0
+
+    def sign(i: int) -> tuple[np.ndarray, ShingleSet | None] | None:
+        """None for document ``i`` if it is too short to shingle; its
+        signature row otherwise, with its shingle set only when exact
+        verification reads it."""
+        nonlocal normals, following
+        if i != following:
+            normals = normalize_many(doc.text for doc in docs[i:])
+        following = i + 1
+        hashes = _shingle_hashes(next(normals), params.ngram_order, vocab)
         if not len(hashes):
             return None
         shingles = None
@@ -408,7 +423,7 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             shingles = ShingleSet(frozenset(hashes.tolist()), params.ngram_order)
         return _sign(hashes, seeds), shingles
 
-    results, workers = pmap(sign, docs, sum(len(doc.text) for doc in docs))
+    results, workers = pmap(sign, range(len(docs)), sum(len(doc.text) for doc in docs))
     signed = sorted((i for i, r in enumerate(results) if r is not None),
                     key=lambda i: docs[i].sort_key())
     ids = [docs[i].id for i in signed]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +37,11 @@ _KNOWN_KEYS = (
     "register",
     "removed_reason",
 )
+
+
+# An unpaired surrogate: JSON's \uD800-\uDFFF escapes may leave one in a
+# string, and UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class DocumentError(ValueError):
@@ -65,6 +71,11 @@ class Document:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        self._validate()
+
+    def _validate(self, segment_count: int | None = None) -> None:
+        """Check the fields; ``segment_count`` is the number of segments when
+        they are already computed, which spares counting the text's lines."""
         if not isinstance(self.id, str) or not self.id:
             raise DocumentError("id must be a non-empty string")
         if not isinstance(self.lang, str) or not self.lang:
@@ -77,7 +88,9 @@ class Document:
             raise DocumentError(f"unknown removed_reason {self.removed_reason!r}")
         if self.seg_langs is not None:
             # Counting lines builds no segments for stages that never read them.
-            count = sum(1 for _ in _segment_lines(self.text))
+            count = segment_count
+            if count is None:
+                count = sum(1 for _ in _segment_lines(self.text))
             if len(self.seg_langs) != count:
                 raise DocumentError(
                     f"seg_langs has {len(self.seg_langs)} labels for {count} segments"
@@ -98,7 +111,10 @@ class Document:
         new.__dict__.update(self.__dict__, **changes)
         if new.text != self.text:
             new.__dict__.pop("segments", None)
-        new.__post_init__()
+        # Reading __dict__ in __post_init__ would build one for every document
+        # read; a copy has one already.
+        carried = new.__dict__.get("segments")
+        new._validate(None if carried is None else len(carried))
         return new
 
     def sort_key(self) -> tuple[str, str]:
@@ -126,7 +142,8 @@ def parse_document_line(line: str) -> Document:
     """Parse one JSONL record into a validated Document.
 
     Raises DocumentError with the byte offset for malformed JSON, or naming
-    the missing/ill-typed field for schema violations.
+    the missing/ill-typed field for schema violations or the field holding
+    an unpaired surrogate.
     """
     try:
         raw = json.loads(line)
@@ -137,6 +154,14 @@ def parse_document_line(line: str) -> Document:
         ) from exc
     if not isinstance(raw, dict):
         raise DocumentError("record is not a JSON object")
+    if "\\ud" in line or "\\uD" in line:  # only an escape can hold a surrogate
+        for key, value in raw.items():
+            found = _SURROGATE.search(json.dumps([key, value], ensure_ascii=False))
+            if found:
+                raise DocumentError(
+                    f"field {key!r} holds an unpaired surrogate {found.group()!r}, "
+                    "which UTF-8 cannot encode"
+                )
     for required in ("id", "lang", "text"):
         if required not in raw:
             raise DocumentError(f"missing required field {required!r}")

@@ -2,10 +2,14 @@
 
 The normalizer lowercases, collapses whitespace, and strips digits and
 non-word characters, yielding text suitable for any character-based
-language classifier. The built-in fallback classifier is a character
-n-gram multinomial scorer trained on seed text per language, so the whole
-pipeline runs offline; an external model can replace it by implementing
-the two-method contract below.
+language classifier. ``normalize_for_lid`` defines it for one text;
+``normalize_many`` gives the same result for many texts, lowercasing each
+on its own and mapping the characters of about ``_BLOCK_CHARS`` of them at
+once through an array over code points (``str.translate`` with a dict
+costs about 100 ns per character of accented text). The built-in fallback
+classifier is a character n-gram multinomial scorer trained on seed text
+per language, so the whole pipeline runs offline; an external model can
+replace it by implementing the two-method contract below.
 
 The built-in scorer keeps its log-probabilities as one dense matrix with a
 row per known n-gram and a column per label, plus a last row of unseen-gram
@@ -14,12 +18,12 @@ matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
 
 ``predict_documents`` scores whole corpora: every document (its normalized
 segments joined by spaces) and every segment in one pass. Each order-n
-window packs its code points into a ``uint64`` key, 21 bits each, and
-``searchsorted`` over the model's sorted keys finds its matrix row; one
-``np.bincount`` per label sums the rows by document and another by
-segment. The text is cut into blocks of ``_BLOCK_CHARS`` window starts,
-each carrying the next (max order - 1) characters, so memory stays a few
-MB whatever the corpus or document size. Those sums add the terms in
+window packs its code points into a ``uint64`` key, 21 bits each, and an
+open-addressing hash table over the model's keys (``_KeyTable``) finds its
+matrix row; one ``np.bincount`` per label sums the rows by document and
+another by segment. The text is cut into blocks of ``_BLOCK_CHARS`` window
+starts, each carrying the next (max order - 1) characters, so memory stays
+a few MB whatever the corpus or document size. Those sums add the terms in
 another order than ``predict``, so each text gets a bound on the
 difference (``_rounding_bound``): n terms of at most M in magnitude,
 added in any order, land within n * n * M * 2**-53 of the exact sum. A
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import unicodedata
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -52,13 +57,18 @@ from .documents import Document, segment_text, write_atomic  # noqa: F401
 # characters so the output is uppercase-free by construction.
 _KEEP_CATEGORIES = frozenset({"Ll", "Lm", "Lo", "Mn", "Mc", "Me"})
 
-# Window starts per block of predict_documents: its arrays take a few
-# hundred bytes per start, so a block's transient memory stays a few MB.
+# Window starts per block of predict_documents, and characters per block of
+# normalize_many: the kernel's arrays take a few hundred bytes per start, so
+# a block's transient memory stays a few MB.
 _BLOCK_CHARS = 1 << 14
 # Bits per code point in a packed gram key; code points are below 2**21,
 # so a uint64 key holds a gram of up to _KEY_ORDER of them.
 _KEY_BITS = 21
 _KEY_ORDER = 64 // _KEY_BITS
+# Marks a free slot of a _KeyTable; packed keys use at most 63 bits.
+_FREE = np.uint64(2**64 - 1)
+# Odd multiplier of _KeyTable's hash (2**64 over the golden ratio).
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
 class ClassifierError(Exception):
@@ -89,6 +99,33 @@ class _WordCharTable(dict):
 _WORD_CHARS = _WordCharTable()
 
 
+class _WordCodePoints:
+    """``_WORD_CHARS`` as an array over code points, for numpy: word
+    characters map to themselves, every other character to a space. It
+    grows to the largest code point seen and fills each on first sight."""
+
+    def __init__(self) -> None:
+        # 0 marks a code point not yet seen: no code point maps to U+0000.
+        self._table = np.zeros(1 << 8, dtype=np.uint32)
+
+    def map(self, code: np.ndarray) -> np.ndarray:
+        """The ``code`` points mapped through the table."""
+        top = int(code.max(initial=0))
+        if top >= len(self._table):
+            grown = np.zeros(min(1 << top.bit_length(), sys.maxunicode + 1), dtype=np.uint32)
+            grown[:len(self._table)] = self._table
+            self._table = grown
+        mapped = self._table[code]
+        if not mapped.all():
+            for point in set(code[mapped == 0].tolist()):
+                self._table[point] = ord(_WORD_CHARS[point])
+            mapped = self._table[code]
+        return mapped
+
+
+_WORD_CODE_POINTS = _WordCodePoints()
+
+
 def normalize_for_lid(text: str) -> str:
     """Normalize text for language identification.
 
@@ -99,6 +136,41 @@ def normalize_for_lid(text: str) -> str:
     collapsed = " ".join(text.split())
     kept = collapsed.lower().translate(_WORD_CHARS)
     return " ".join(kept.split())
+
+
+def normalize_many(texts: Iterable[str]) -> Iterator[str]:
+    """``normalize_for_lid`` of each of ``texts``, in order.
+
+    Texts are read and normalized in blocks of at least ``_BLOCK_CHARS``
+    characters (or the rest). Each text is lowercased on its own, so that
+    a final sigma or an expanding ``İ`` lowers as it does alone; each block
+    is then mapped at once, every character but a word character becoming
+    a space, and each text's whitespace is collapsed. Whitespace is neither
+    cased nor case-ignorable, so collapsing it after lowercasing, not
+    before as ``normalize_for_lid`` does, changes nothing.
+    """
+    block: list[str] = []
+    size = 0
+    for text in texts:
+        block.append(text.lower())
+        size += len(block[-1])
+        if size >= _BLOCK_CHARS:
+            yield from _normalize_block(block)
+            block, size = [], 0
+    yield from _normalize_block(block)
+
+
+def _normalize_block(lowered: list[str]) -> Iterator[str]:
+    # With surrogatepass a lone surrogate is a code point like any other,
+    # and no word character, as it is to str.translate.
+    code = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"),
+                         dtype=np.uint32)
+    joined = _WORD_CODE_POINTS.map(code).tobytes().decode("utf-32-le")
+    start = 0
+    for text in lowered:
+        end = start + len(text)
+        yield " ".join(joined[start:end].split())
+        start = end
 
 
 @runtime_checkable
@@ -197,6 +269,56 @@ def _blocks(parts: Iterable[str], size: int, overlap: int) -> Iterator[tuple[str
         yield text[start:start + size + overlap], min(size, len(text) - start)
 
 
+class _KeyTable:
+    """An open-addressing hash table from distinct packed gram keys (below
+    2**63, so none is ``_FREE``) to integer values.
+
+    It has a power of two slots, at least four per key. A key's home slot is
+    the top bits of key * ``_HASH_FACTOR`` modulo 2**64, and linear probing
+    stores it in the first free slot from there on. The slots go on past the
+    last stored key, so a probe never wraps around.
+    """
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        bits = max(2, (4 * len(keys) - 1).bit_length())
+        self._shift = np.uint64(64 - bits)
+        home = self._home(keys)
+        order = np.argsort(home, kind="stable")
+        # Stored in order of home slot, a key goes to its home slot or, if
+        # the key before took that or a later slot, to the slot after it.
+        rank = np.arange(len(keys))
+        slot = rank + np.maximum.accumulate(home[order] - rank)
+        size = max(1 << bits, int(slot[-1]) + 2 if len(slot) else 0)
+        self._keys = np.full(size, _FREE, dtype=np.uint64)
+        self._keys[slot] = keys[order]
+        self._values = np.zeros(size, dtype=values.dtype)
+        self._values[slot] = values[order]
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        home = keys * _HASH_FACTOR
+        home >>= self._shift
+        return home.astype(np.intp)
+
+    def get(self, keys: np.ndarray, default: int) -> np.ndarray:
+        """Each key's value, or ``default`` for a key not in the table."""
+        slot = self._home(keys)
+        held = self._keys[slot]
+        hit = held == keys
+        found = self._values[slot]
+        found[~hit] = default
+        # Keys whose probe has met neither their key nor a free slot yet.
+        probing = np.flatnonzero(~hit & (held != _FREE))
+        slot = slot[probing]
+        while len(probing):
+            slot += 1
+            held = self._keys[slot]
+            hit = held == keys[probing]
+            found[probing[hit]] = self._values[slot[hit]]
+            going = ~hit & (held != _FREE)
+            probing, slot = probing[going], slot[going]
+        return found
+
+
 class NgramLanguageClassifier:
     """Character n-gram multinomial scorer over a fixed label inventory.
 
@@ -232,7 +354,7 @@ class NgramLanguageClassifier:
             matrix[[rows[g] for g in table], column] = list(table.values())
         self._rows = rows
         self._matrix = matrix
-        self._index: tuple[np.ndarray, np.ndarray, float] | None = None
+        self._index: tuple[_KeyTable, np.ndarray, float] | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -352,19 +474,19 @@ class NgramLanguageClassifier:
         for segs, _ in docs:  # documents without text after the last one with text
             yield document(segs, nothing, 0)
 
-    def _key_index(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The packed keys of the known grams, sorted and ending in a key no
-        window has; a [labels, keys] array of their log-probabilities, the
-        last column holding the fallbacks; and the largest log-probability
-        magnitude. Built on first use."""
+    def _key_index(self) -> tuple[_KeyTable, np.ndarray, float]:
+        """A table from the packed key of each known gram to its matrix row;
+        the matrix as a [labels, rows] array, its last column holding the
+        fallbacks; and the largest log-probability magnitude. Built on
+        first use."""
         if self._index is None:
+            # U+0000 packs to zero bits, so a gram holding one could share a
+            # shorter gram's key; the windows holding one are discarded anyway.
             grams = [g for g in self._rows if 0 < len(g) <= _KEY_ORDER and "\x00" not in g]
-            keys = np.array([_pack(g) for g in grams] + [2**64 - 1], dtype=np.uint64)
-            rows = np.array([self._rows[g] for g in grams] + [len(self._rows)], dtype=np.intp)
-            order = np.argsort(keys)
             self._index = (
-                keys[order],
-                np.ascontiguousarray(self._matrix[rows[order]].T),
+                _KeyTable(np.array([_pack(g) for g in grams], dtype=np.uint64),
+                          np.array([self._rows[g] for g in grams], dtype=np.intp)),
+                np.ascontiguousarray(self._matrix.T),
                 float(np.abs(self._matrix).max()),
             )
         return self._index
@@ -379,8 +501,8 @@ class NgramLanguageClassifier:
         it holds neither; the others are summed into a last, discarded bin.
         The sums of the text open at a block's end carry over to the next.
         """
-        keys, columns, _ = self._key_index()
-        unseen = len(keys) - 1
+        table, columns, _ = self._key_index()
+        unseen = len(self._rows)
         top = max(self._orders, default=1)
         carry_doc = np.zeros(len(self._labels))
         carry_piece = np.zeros(len(self._labels))
@@ -404,8 +526,7 @@ class NgramLanguageClassifier:
                 doc_bin = np.where(doc_of[n:n + m] == doc_of[:m], doc_of[:m], open_doc + 1)
                 piece_bin = np.where(piece_of[n:n + m] == piece_of[:m], piece_of[:m],
                                      open_piece + 1)
-                at = np.searchsorted(keys, key[:m])
-                at[keys[at] != key[:m]] = unseen
+                at = table.get(key[:m], unseen)
                 for _ in range(self._orders.count(n)):
                     for column, doc_row, piece_row in zip(columns, doc_sums, piece_sums):
                         terms = column[at]

@@ -452,6 +452,16 @@ def test_all_parses_once_and_segments_each_document_at_most_once(
     assert 0 < len(segmented) <= records
 
 
+def test_all_normalizes_text_by_text_only_the_seed_texts(fixture_dir, tmp_path, monkeypatch):
+    # lid and dedup normalize in blocks (lid.normalize_many); only training
+    # normalizes each seed text on its own.
+    root, config_path = fixture_dir
+    calls = _count_calls(monkeypatch, sys.modules["refinery.lid"].normalize_for_lid,
+                         tmp_path / "normalize_for_lid.calls")
+    assert main(["all", "--config", str(config_path), "--output", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(load_config(config_path).lid.seed_texts)
+
+
 def test_all_on_a_corpus_lid_empties_writes_a_zero_report(tmp_path):
     import random
 
@@ -557,6 +567,19 @@ def test_unusable_seed_file_exits_1_with_one_line(tmp_path, capsys, seed, expect
     assert main(["lid", "--config", str(config)]) == 1
     expected = expected.format(seed=tmp_path / "seed.txt")
     assert capsys.readouterr().err == f"refinery: lid failed: {expected}\n"
+
+
+@pytest.mark.parametrize("stage", ["lid", "all"])
+def test_unpaired_surrogate_exits_1_with_one_line(tmp_path, capsys, stage):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id":"a","lang":"aaa_Latn","text":"badge cable"}\n'
+                      '{"id":"b","lang":"aaa_Latn","text":"media \\ud800 beach"}\n')
+    assert main([stage, "--config", str(_lid_config(tmp_path, "corpus.jsonl"))]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.endswith(f": {corpus}:2: field 'text' holds an unpaired surrogate '\\ud800', "
+                        "which UTF-8 cannot encode\n")
+    assert not (tmp_path / "out" / "lid").exists()
 
 
 @pytest.mark.parametrize(

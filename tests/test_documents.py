@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import refinery.documents
 from refinery.documents import (
     Corpus,
     Document,
@@ -153,6 +154,42 @@ def test_replace_keeps_segments_until_the_text_changes():
         doc.replace(colour="red")
 
 
+def test_replace_counts_carried_segments_without_recounting_lines(monkeypatch):
+    doc = Document(id="a", lang="l", text="one\n\n two \n")
+    assert len(doc.segments) == 2
+
+    def recount(text):
+        raise AssertionError("the lines were counted again")
+
+    monkeypatch.setattr(refinery.documents, "_segment_lines", recount)
+    labelled = doc.replace(lang="m", seg_langs=("m", "m"))
+    assert labelled.seg_langs == ("m", "m")
+    with pytest.raises(DocumentError, match="seg_langs has 1 labels for 2 segments"):
+        doc.replace(seg_langs=("l",))
+    with pytest.raises(DocumentError, match="seg_langs has 3 labels for 2 segments"):
+        labelled.replace(seg_langs=("m", "m", "m"))
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [(r'{"id":"a","lang":"l","text":"ab\ud800c"}', "text"),
+     (r'{"id":"a","lang":"l","text":"x\uDC00"}', "text"),
+     (r'{"id":"a\udfff","lang":"l","text":"x"}', "id"),
+     (r'{"id":"a","lang":"l","text":"x","meta":{"tags":["\ud83d"]}}', "meta"),
+     (r'{"id":"a","lang":"l","text":"x","k\ud800":1}', "k\ud800")],
+    ids=["text", "text-low-half", "id", "nested-extra", "key"],
+)
+def test_unpaired_surrogate_names_its_field(line, field):
+    with pytest.raises(DocumentError) as raised:
+        parse_document_line(line)
+    assert str(raised.value).startswith(f"field {field!r} holds an unpaired surrogate '\\ud")
+
+
+def test_paired_surrogates_and_escaped_backslashes_parse():
+    doc = parse_document_line(r'{"id":"a","lang":"l","text":"\ud83d\ude00 \\ud800"}')
+    assert doc.text == "\U0001f600 \\ud800"
+
+
 def test_corpus_rejects_duplicate_ids():
     doc = Document(id="a", lang="l", text="x")
     with pytest.raises(DocumentError, match="duplicate"):
@@ -207,6 +244,13 @@ def test_atomic_write_creates_parents_and_follows_umask(tmp_path):
     assert target.read_bytes() == b"second"
     assert (target.stat().st_mode & 0o777) == 0o666 & ~umask
     assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
+
+
+def test_unpaired_surrogate_names_the_file_and_line(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"id":"a","lang":"l","text":"x"}\n{"id":"b","lang":"l","text":"\\ud800"}\n')
+    with pytest.raises(DocumentError, match=f"^{re.escape(str(path))}:2: field 'text' holds"):
+        read_documents(path)
 
 
 def test_unreadable_files_name_the_file(tmp_path):

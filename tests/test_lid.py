@@ -15,6 +15,7 @@ from refinery.lid import (
     NgramLanguageClassifier,
     classify,
     normalize_for_lid,
+    normalize_many,
     profile_segments,
 )
 
@@ -399,3 +400,61 @@ _SEGMENT_ALPHABET = "aZ İıΣσς\u0301\u20dd\r\x1c\x85\u2028\t\n .'"
 def test_document_normal_is_its_segment_normals_joined(text):
     (normals,) = _segment_normals([text])
     assert normalize_for_lid(text) == " ".join(n for n in normals if n)
+
+
+_NORMALIZE_ALPHABET = "aZ0 7İΣσς\u0301\u20dd\r\n\x1c\x85\u00a0\u2028.'\U0001d400\U0001f600\ud800"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=_NORMALIZE_ALPHABET, max_size=24), max_size=10))
+def test_normalize_many_is_normalize_for_lid_of_each(block, texts):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lid, "_BLOCK_CHARS", block)
+        assert list(normalize_many(texts)) == [normalize_for_lid(t) for t in texts]
+
+
+def _sorted_lookup(keys, values, queries, default):
+    """The lookup the hash table replaced: searchsorted over sorted keys."""
+    order = np.argsort(keys)
+    ordered = np.append(keys[order], np.uint64(2**64 - 1))
+    at = np.searchsorted(ordered, queries)
+    return np.where(ordered[at] == queries, np.append(values[order], default)[at], default)
+
+
+def _same_home(count: int, table_keys: int, home: int) -> list[int]:
+    """``count`` keys below 2**63 whose home slot, in a table of
+    ``table_keys`` keys, is ``home``."""
+    shift = 64 - max(2, (4 * table_keys - 1).bit_length())
+    inverse = pow(int(lid._HASH_FACTOR), -1, 2**64)
+    keys = ((inverse * ((home << shift) + j)) % 2**64 for j in range(10 * count))
+    return [k for k in keys if k < 2**63][:count]
+
+
+_LARGEST_KEY = lid._pack(chr(0x10FFFF) * lid._KEY_ORDER)
+
+
+@pytest.mark.parametrize("case", ["random", "first-home", "last-home", "empty"])
+def test_key_table_matches_sorted_lookup(case):
+    rng = np.random.default_rng(len(case))
+    n = {"random": 300, "empty": 0}.get(case, 40)
+    if case == "random":
+        keys = list(rng.integers(1, 2**63 - 1, n, dtype=np.int64).tolist())
+        keys[:3] = [_LARGEST_KEY, lid._pack("\x01"), lid._pack("a")]
+        unknown = [_LARGEST_KEY - 1, 2**63 - 1, 0] + rng.integers(0, 2**63, 200).tolist()
+    elif case == "empty":
+        keys, unknown = [], [0, 1, _LARGEST_KEY]
+    else:
+        # Every key has one home slot, so each probes past all keys before it;
+        # from the last slot the run reaches past the table's power of two.
+        home = 0 if case == "first-home" else max(4, 1 << (4 * n - 1).bit_length()) - 1
+        same = _same_home(2 * n, n, home)
+        keys, unknown = same[:n], same[n:] + [_LARGEST_KEY]
+    keys = np.array(keys, dtype=np.uint64)
+    assert len(np.unique(keys)) == len(keys)
+    values = np.arange(len(keys), dtype=np.intp) * 7 + 3
+    queries = np.concatenate([keys, np.array(unknown, dtype=np.uint64), keys[::-1]])
+    got = lid._KeyTable(keys, values).get(queries, -1)
+    np.testing.assert_array_equal(got, _sorted_lookup(keys, values, queries, -1))
+    assert (got[:len(keys)] == values).all()
