@@ -1,5 +1,11 @@
 """Desk-scale monolingual web-corpus refinement toolkit."""
 
+import os
+
+# Refinery calls no BLAS routine. Capped before numpy loads, OpenBLAS starts
+# no thread, so dedup's process map forks a single-threaded process.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .documents import Corpus, Document, Segment, parse_document_line, segment_text
 from .dedup import DedupParams, dedup, estimate_jaccard, lsh_candidates, shingle, signature
 from .lid import LangPrediction, NgramLanguageClassifier, classify, normalize_for_lid, profile_segments

@@ -97,21 +97,11 @@ def unique_segment_ratio(corpus: Corpus) -> float:
 def length_profiles(corpus: Corpus) -> tuple[float, float]:
     """(fraction of documents with >25 segments,
     fraction of segments with <3 tokens)."""
-    docs = 0
-    large_docs = 0
-    segments = 0
-    short_segments = 0
-    for doc in corpus:
-        docs += 1
-        if len(doc.segments) > LARGE_DOCUMENT_SEGMENTS:
-            large_docs += 1
-        for seg in doc.segments:
-            segments += 1
-            if seg.token_count < SHORT_SEGMENT_TOKENS:
-                short_segments += 1
-    large_ratio = large_docs / docs if docs else 0.0
-    short_ratio = short_segments / segments if segments else 0.0
-    return large_ratio, short_ratio
+    large = sum(len(doc.segments) > LARGE_DOCUMENT_SEGMENTS for doc in corpus)
+    segments = sum(len(doc.segments) for doc in corpus)
+    short = sum(seg.token_count < SHORT_SEGMENT_TOKENS for doc in corpus for seg in doc.segments)
+    return (large / len(corpus) if len(corpus) else 0.0,
+            short / segments if segments else 0.0)
 
 
 def in_language_ratio(corpus: Corpus) -> float:
@@ -236,9 +226,7 @@ def domain_report(corpus: Corpus) -> DomainReport:
     hosts: Counter = Counter()
     tlds: Counter = Counter()
     wikipedia = 0
-    total = 0
     for doc in corpus:
-        total += 1
         host = _host_of(doc.url)
         if host is None:
             hosts["unknown"] += 1
@@ -247,7 +235,7 @@ def domain_report(corpus: Corpus) -> DomainReport:
         tlds[host.rsplit(".", 1)[-1]] += 1
         if _is_wikipedia(host):
             wikipedia += 1
-    share = wikipedia / total if total else 0.0
+    share = wikipedia / len(corpus) if len(corpus) else 0.0
     return DomainReport(dict(hosts), dict(tlds), share)
 
 
@@ -313,15 +301,9 @@ def render_report(report: dict) -> str:
     """Plain-text table rendering of an analytics report."""
     lines = [f"language: {report['language']}"]
     s = report["summary"]
-    lines.append(
-        f"documents: {s['document_count']}  tokens: {s['token_count']}  "
-        f"avg length: {s['avg_document_length']:.1f}"
-        + (
-            f"  share: {s['share_percent']:.2f}%"
-            if s["share_percent"] is not None
-            else ""
-        )
-    )
+    share = "" if s["share_percent"] is None else f"  share: {s['share_percent']:.2f}%"
+    lines.append(f"documents: {s['document_count']}  tokens: {s['token_count']}  "
+                 f"avg length: {s['avg_document_length']:.1f}{share}")
     lines.append(f"unique segments: {report['unique_segment_ratio']:.1%}")
     lines.append(f"large documents (>25 segments): {report['large_document_ratio']:.1%}")
     lines.append(f"short segments (<3 tokens): {report['short_segment_ratio']:.1%}")

@@ -11,13 +11,14 @@ files; one runner writes ``documents.jsonl`` (lid, dedup, score),
 input once and hands documents from stage to stage in memory, writing the
 same files as separate runs chained through ``--input``. Every stage after
 lid checks that its input file is a corpus in ``language`` with unique ids.
-lid scores every document and segment in one serial pass
-(``NgramLanguageClassifier.predict_documents``); its ``report.json``
-counts the documents it ``rejected`` and the texts whose verdict
-``predict`` decided again (``exact_rescored``). Only dedup forks: its
-shingling and signing run in ``parallel.pmap``, in worker processes, one
-per usable CPU and at most one per ``MIN_CHARS`` characters of document
-text, and serially below two; its ``report.json`` gives ``workers``. There
+lid normalizes and scores every document and segment in one serial pass
+(``NgramLanguageClassifier.predict_documents``), and score labels the
+segments of documents without ``seg_langs`` through the same pass. lid's
+``report.json`` counts the documents it ``rejected`` and the texts whose
+verdict ``predict`` decided again (``exact_rescored``). Only dedup forks:
+``parallel.pmap`` hands one range of documents to each worker process,
+one per usable CPU and at most one per ``MIN_CHARS`` characters of text,
+and runs serially below two; its ``report.json`` gives ``workers``. There
 is no setting for it. Every file is written atomically (``write_atomic``).
 REFINERY_LOG sets the log level.
 """
@@ -31,9 +32,8 @@ import os
 import sys
 import time
 from collections import Counter
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .analytics import analyze_corpus, render_report
 from .config import ConfigError, PipelineConfig, load_config, resolve
@@ -54,13 +54,12 @@ from .evalagg import (
     render_ranking,
     select_tasks,
 )
-# classify stays bound here for the benchmark's tracer test.
+# classify and profile_segments stay bound here for the benchmark's tracer test.
 from .lid import (  # noqa: F401
     ClassifierError,
     NgramLanguageClassifier,
     classify,
     in_language_share,
-    normalize_many,
     profile_segments,
 )
 from .packaging import package_corpus
@@ -116,10 +115,8 @@ def stage_lid(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
     min_confidence = config.lid.min_confidence
-    normals = normalize_many(seg.text for doc in docs for seg in doc.segments)
     verdicts = model.predict_documents(
-        (list(islice(normals, len(doc.segments))) for doc in docs), min_confidence
-    )
+        ([seg.text for seg in doc.segments] for doc in docs), min_confidence)
     kept: list[Document] = []
     rejected: list[Document] = []
     rescored = 0
@@ -151,21 +148,26 @@ def stage_dedup(
 def stage_score(
     config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
 ) -> StageResult:
-    # lid output carries seg_langs; the classifier is needed only without them.
-    unlabeled = next((doc for doc in docs if doc.seg_langs is None), None)
-    model = _load_classifier(config, base) if unlabeled is not None else None
-    if unlabeled is not None and model is None:
-        raise StageError(
-            f"document {unlabeled.id!r} has no seg_langs and no classifier is "
-            "configured; run the lid stage first"
-        )
+    # lid output carries seg_langs; the classifier labels only documents without.
+    unlabeled = [doc for doc in docs if doc.seg_langs is None]
+    verdicts: Iterator = iter(())
+    if unlabeled:
+        model = _load_classifier(config, base)
+        if model is None:
+            raise StageError(
+                f"document {unlabeled[0].id!r} has no seg_langs and no classifier is "
+                "configured; run the lid stage first"
+            )
+        # Score reads only the segment labels: no document is held to a confidence.
+        verdicts = model.predict_documents(
+            ([seg.text for seg in doc.segments] for doc in unlabeled), 0.0)
     scored: list[Document] = []
     for doc in docs:
         seg_langs = doc.seg_langs
         if seg_langs is None:
-            seg_langs = profile_segments(doc, model).seg_langs
+            seg_langs = next(verdicts)[1]
         fraction = in_language_share(seg_langs, doc.lang)
-        report = score_document(doc, fraction, config.wds.scoring)
+        report = score_document(doc, fraction, config.wds)
         extras = {**doc.extras, "wds_subsignals": report.subsignals}
         scored.append(doc.replace(wds=report.score, extras=extras))
     if config.wds.min_level is None:

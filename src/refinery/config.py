@@ -34,12 +34,6 @@ class LidSettings:
 
 
 @dataclass(frozen=True)
-class WdsSettings:
-    scoring: WdsConfig = field(default_factory=WdsConfig)
-    min_level: int | None = None
-
-
-@dataclass(frozen=True)
 class AnalyticsSettings:
     stopword_file: str | None = None
     reference_total_tokens: int | None = None
@@ -68,7 +62,7 @@ class PipelineConfig:
     language: str
     lid: LidSettings = field(default_factory=LidSettings)
     dedup: DedupParams = field(default_factory=DedupParams)
-    wds: WdsSettings = field(default_factory=WdsSettings)
+    wds: WdsConfig = field(default_factory=WdsConfig)
     packaging: PackagingConfig = field(default_factory=PackagingConfig)
     analytics: AnalyticsSettings = field(default_factory=AnalyticsSettings)
     eval_agg: EvalAggSettings = field(default_factory=EvalAggSettings)
@@ -90,9 +84,6 @@ def _build(dc_type, raw: Any, where: str):
     that pass are kept as given.
     """
     data, built = _mapping(raw, where), {}
-    if dc_type is WdsSettings:  # flat: the WdsConfig keys sit beside min_level
-        scoring = {key: data.pop(key) for key in list(data) if key != "min_level"}
-        built["scoring"] = _build(WdsConfig, scoring, where)
     prefix = f"{where}." if where else ""
     unknown = sorted(set(data) - {f.name for f in fields(dc_type)}, key=str)
     if unknown:

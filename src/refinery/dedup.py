@@ -15,12 +15,13 @@ seed. Each mix64(. ^ r_i) is a bijection of the 64-bit space with strong
 avalanche, so component agreement estimates Jaccard similarity the same
 way seeded permutations would, and everything vectorizes in uint64.
 
-Documents are shingled and signed in one ``parallel.pmap`` over their
-indices, one ``uint64`` row each, and the rows form one matrix. Each
-worker walks a contiguous run of indices and normalizes its documents'
-texts with ``lid.normalize_many``, a block at a time, as it goes; the
-normalized text is not kept on ``Document``, since normalizing in blocks
-costs little and a kept copy would hold memory across stages. LSH
+Documents are shingled and signed in one ``parallel.pmap`` over ranges
+of their indices. Each range, in a worker or serially, normalizes its
+documents' texts in one ``lid.normalize_many`` pass and returns the
+indices it signed with one ``uint64`` block of their rows; the blocks,
+put in (collection, id) order, form one matrix. The normalized text is
+not kept on ``Document``, since normalizing in blocks costs little and a
+kept copy would hold memory across stages. LSH
 buckets the rows whose values in a band are identical (per crawl, within
 a collection). Each bucket member is verified against the components
 already in its bucket; a pair in one component is never verified and a
@@ -400,37 +401,42 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     a document they were merged with.
     """
     docs = list(corpus.documents)
+    ranked = sorted(docs, key=Document.sort_key)  # rows go in (collection, id) order
     vocab = _TokenHashes()
-    seeds = _hash_seeds(params.signature_length, params.seed)
-
-    # The normalized texts of docs[following:]. A worker maps one contiguous
-    # run of indices, so it starts this once and normalizes each block once.
-    normals, following = normalize_many(doc.text for doc in docs), 0
-
-    def sign(i: int) -> tuple[np.ndarray, ShingleSet | None] | None:
-        """None for document ``i`` if it is too short to shingle; its
-        signature row otherwise, with its shingle set only when exact
-        verification reads it."""
-        nonlocal normals, following
-        if i != following:
-            normals = normalize_many(doc.text for doc in docs[i:])
-        following = i + 1
-        hashes = _shingle_hashes(next(normals), params.ngram_order, vocab)
-        if not len(hashes):
-            return None
-        shingles = None
-        if params.exact_verification:
-            shingles = ShingleSet(frozenset(hashes.tolist()), params.ngram_order)
-        return _sign(hashes, seeds), shingles
-
-    results, workers = pmap(sign, range(len(docs)), sum(len(doc.text) for doc in docs))
-    signed = sorted((i for i, r in enumerate(results) if r is not None),
-                    key=lambda i: docs[i].sort_key())
-    ids = [docs[i].id for i in signed]
     k = params.signature_length
-    matrix = np.array([results[i][0] for i in signed], dtype=np.uint64).reshape(-1, k)
-    shingle_sets = [results[i][1] for i in signed]
-    del results  # the matrix holds the rows now
+    seeds = _hash_seeds(k, params.seed)
+
+    def sign(start: int, stop: int) -> tuple[list[int], np.ndarray, list[ShingleSet]]:
+        """Which of ``ranked[start:stop]`` are long enough to shingle, their
+        rows, and their shingle sets only when exact verification reads them."""
+        signed: list[int] = []
+        rows = np.empty((stop - start, k), dtype=np.uint64)
+        shingle_sets: list[ShingleSet] = []
+        texts = normalize_many(doc.text for doc in ranked[start:stop])
+        for i, text in enumerate(texts, start):
+            hashes = _shingle_hashes(text, params.ngram_order, vocab)
+            if not len(hashes):
+                continue
+            rows[len(signed)] = _sign(hashes, seeds)
+            signed.append(i)
+            if params.exact_verification:
+                shingle_sets.append(ShingleSet(frozenset(hashes.tolist()), params.ngram_order))
+        return signed, rows[:len(signed)], shingle_sets
+
+    chunks = pmap(sign, len(ranked), sum(len(doc.text) for doc in docs))
+    workers = len(chunks)
+    signed = [ranked[i] for chunk in chunks for i in chunk[0]]
+    ids = [doc.id for doc in signed]
+    shingle_sets = [s for chunk in chunks for s in chunk[2]]
+    blocks = [chunk[1] for chunk in chunks]
+    del chunks
+    # A lone block is the matrix. Otherwise each block is let go once copied,
+    # so that the rows are held about once, not twice.
+    matrix = blocks.pop() if len(blocks) == 1 else np.empty((len(signed), k), dtype=np.uint64)
+    at = 0
+    while blocks:
+        matrix[at:at + len(blocks[0])] = blocks[0]
+        at += len(blocks.pop(0))
 
     def verify_rows(a: int, b: int) -> float:
         if params.exact_verification:
@@ -440,7 +446,7 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     if params.candidates == "lsh":
         groups = None
         if params.mode == "per_crawl":
-            collections = [docs[i].collection for i in signed]
+            collections = [doc.collection for doc in signed]
             groups = np.unique(collections, return_inverse=True)[1]
         buckets = _buckets(matrix, params.bands, params.rows, groups)
         uf, row_similarity, verified = _cluster_buckets(
@@ -467,8 +473,8 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             verify,
             params.verify_threshold,
             mode=params.mode,
-            collections={docs[i].id: docs[i].collection for i in signed},
-            sort_keys={docs[i].id: docs[i].sort_key() for i in signed},
+            collections={doc.id: doc.collection for doc in signed},
+            sort_keys={doc.id: doc.sort_key() for doc in signed},
         )
 
     retained: list[Document] = []

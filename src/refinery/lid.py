@@ -17,7 +17,9 @@ fallbacks: a prediction is one n-gram extraction and one gather over that
 matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
 
 ``predict_documents`` scores whole corpora: every document (its normalized
-segments joined by spaces) and every segment in one pass. Each order-n
+segments joined by spaces) and every segment in one pass. It normalizes
+the segments itself, so no caller can hand it the U+0000 and U+0001 that
+mark where documents and segments end in its stream. Each order-n
 window packs its code points into a ``uint64`` key, 21 bits each, and an
 open-addressing hash table over the model's keys (``_KeyTable``) finds its
 matrix row; one ``np.bincount`` per label sums the rows by document and
@@ -40,7 +42,7 @@ import sys
 import unicodedata
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
@@ -408,16 +410,20 @@ class NgramLanguageClassifier:
     ) -> Iterator[tuple[LangPrediction, tuple[str, ...], int]]:
         """Predict every document and label every segment in one pass.
 
-        Each item of ``segments`` holds one document's segments, normalized
-        by ``normalize_for_lid``; the document's normalized text is its
-        non-empty segments joined by one space. Items are read as the pass
-        reaches them. Yields, per document in order, its prediction, its
-        segment labels ("und" for an empty segment) and how many of its
-        texts ``predict`` decided again. Every label, and whether a
-        document's confidence is below ``min_confidence``, equals
+        Each item of ``segments`` holds one document's segment texts, which
+        the pass normalizes (``normalize_many``); the document's normalized
+        text is its non-empty normalized segments joined by one space. Items
+        are read as the pass reaches them. Yields, per document in order,
+        its prediction, its segment labels ("und" for an empty segment) and
+        how many of its texts ``predict`` decided again. Every label, and
+        whether a document's confidence is below ``min_confidence``, equals
         ``predict``'s on the same text; a confidence may differ from
         ``predict``'s in its last bits.
         """
+        # One normalize_many over every segment, read a block ahead of the pass.
+        ahead, behind = tee(segments)
+        normals = normalize_many(seg for segs in ahead for seg in segs)
+        segments = ([next(normals) for _ in segs] for segs in behind)
         if max(self._orders, default=1) > _KEY_ORDER:
             # Keys cannot hold these grams: predict decides every text.
             for segs in segments:

@@ -1,20 +1,21 @@
-"""One order-preserving process map for per-document work.
+"""One order-preserving process map over contiguous ranges of work.
 
-``pmap(fn, items, chars)`` computes ``[fn(x) for x in items]``, where
-``chars`` is the size of the items' text in characters. Given at least
-``MIN_CHARS`` characters per worker and two usable CPUs, it splits the
-items into one contiguous chunk per worker and maps the chunks in forked
-worker processes. ``fn`` and ``items`` reach the workers through fork,
-from the module global ``_task``, so a config is never pickled: only
-chunk bounds go out and results come back. It runs serially with
-fewer than two workers, where ``fork`` is unavailable, and inside a
-worker. ``multiprocessing`` is imported only when a map forks.
+``pmap(fn, n, chars)`` splits ``range(n)`` into one contiguous chunk per
+worker, calls ``fn(start, stop)`` once per chunk and returns the chunk
+results in order; ``chars`` is the size of the work's text in characters.
+Given at least ``MIN_CHARS`` characters per worker and two usable CPUs,
+the chunks run in forked worker processes. ``fn`` reaches the workers
+through fork, from the module global ``_task``, so a config is never
+pickled: only chunk bounds go out and results come back. It runs
+serially, returning ``[fn(0, n)]``, with fewer than two workers, where
+``fork`` is unavailable, and inside a worker. ``multiprocessing`` is
+imported only when a map forks.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 # Fewest text characters per worker: with less, a worker saves less than
 # its fork costs. Dedup's shingling and signing, on prefixes of the lid
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 # (2-vCPU host); so two workers start at 2**19 characters (0.52M).
 MIN_CHARS = 1 << 18
 
-_task: tuple[Callable, Sequence] | None = None
+_task: Callable[[int, int], object] | None = None
 _in_worker = False
 
 
@@ -44,32 +45,31 @@ def _enter_worker() -> None:
     _in_worker = True
 
 
-def _map_chunk(start: int, stop: int) -> list:
-    fn, items = _task
-    return [fn(item) for item in items[start:stop]]
+def _map_chunk(start: int, stop: int):
+    return _task(start, stop)
 
 
-def pmap(fn: Callable, items: Sequence, chars: int) -> tuple[list, int]:
-    """``[fn(x) for x in items]`` in order, and the number of processes that
-    computed it. An exception raised by ``fn`` in a worker is raised here."""
+def pmap(fn: Callable[[int, int], object], n: int, chars: int) -> list:
+    """``fn(start, stop)`` of each contiguous chunk of ``range(n)``, in order:
+    one chunk per process that computed it. An exception raised by ``fn``
+    in a worker is raised here."""
     global _task
-    workers = min(usable_cpus(), len(items), chars // MIN_CHARS)
+    workers = min(usable_cpus(), n, chars // MIN_CHARS)
     if workers >= 2 and not _in_worker:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
-            bounds = [len(items) * i // workers for i in range(workers + 1)]
-            _task = (fn, items)
+            bounds = [n * i // workers for i in range(workers + 1)]
+            _task = fn
             try:
                 with ProcessPoolExecutor(
                     workers, multiprocessing.get_context("fork"), _enter_worker
                 ) as pool:
-                    chunks = pool.map(_map_chunk, bounds[:-1], bounds[1:])
-                    return [result for chunk in chunks for result in chunk], workers
+                    return list(pool.map(_map_chunk, bounds[:-1], bounds[1:]))
             except BrokenProcessPool as exc:
                 raise WorkerError(f"a worker process died: {exc}") from exc
             finally:
                 _task = None
-    return [fn(item) for item in items], 1
+    return [fn(0, n)]

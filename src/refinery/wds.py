@@ -41,6 +41,8 @@ class WdsConfig:
     weights: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(PENALIZED_SUBSIGNALS, 1.0)
     )
+    # Documents below this level are removed as below_wds; None keeps all.
+    min_level: int | None = None
 
     def __post_init__(self):
         for name in self.weights:

@@ -687,10 +687,10 @@ def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):
         "documents.jsonl", "documents.jsonl.tmp", "report.json"]
 
 
-def test_demo_fixture_script_runs_end_to_end(tmp_path):
+def _demo_fixture(tmp_path, docs: int):
+    """Write scripts/make_fixture.py's demo corpus and config; the config's path."""
     import os
     import subprocess
-    import sys
     from pathlib import Path
 
     repo = Path(__file__).resolve().parents[1]
@@ -700,8 +700,66 @@ def test_demo_fixture_script_runs_end_to_end(tmp_path):
     )
     subprocess.run(
         [sys.executable, str(repo / "scripts" / "make_fixture.py"), str(tmp_path),
-         "--docs", "60"],
+         "--docs", str(docs)],
         check=True, env=env, capture_output=True,
     )
-    assert main(["all", "--config", str(tmp_path / "pipeline.json")]) == 0
+    return tmp_path / "pipeline.json"
+
+
+def test_demo_fixture_script_runs_end_to_end(tmp_path):
+    assert main(["all", "--config", str(_demo_fixture(tmp_path, 60))]) == 0
     assert (tmp_path / "out" / "analyze" / "analytics.json").exists()
+
+
+def test_score_labels_unlabeled_input_as_lid_does(tmp_path):
+    config = str(_demo_fixture(tmp_path, 60))
+    assert main(["lid", "--config", config]) == 0
+    labeled = tmp_path / "out" / "lid" / "documents.jsonl"
+    docs = read_documents(labeled)
+    assert any(len(set(doc.seg_langs)) > 1 for doc in docs)  # the labels matter
+    unlabeled = tmp_path / "unlabeled.jsonl"
+    write_documents([doc.replace(seg_langs=None) for doc in docs], unlabeled)
+
+    outputs = []
+    for path in (labeled, unlabeled):
+        out = tmp_path / path.stem
+        assert main(["score", "--config", config, "--set", "wds.min_level=5",
+                     "--input", str(path), "--output", str(out)]) == 0
+        outputs.append([
+            [{k: v for k, v in json.loads(line).items() if k != "seg_langs"}
+             for line in (out / name).read_text(encoding="utf-8").splitlines()]
+            for name in ("documents.jsonl", "removed.jsonl")
+        ])
+    (kept, removed), unlabeled_outputs = outputs
+    assert kept and removed
+    assert unlabeled_outputs == [kept, removed]
+
+
+def _edge_words(analytics_path) -> set[str]:
+    """The words that start or end an n-gram of analytics.json's top n-grams."""
+    top = json.loads(analytics_path.read_text(encoding="utf-8"))["top_ngrams"]
+    return {word for pairs in top.values() for gram, _ in pairs
+            for word in (gram.split()[0], gram.split()[-1])}
+
+
+def test_stopword_file_words_start_and_end_no_top_ngram(tmp_path, capsys):
+    config = str(_demo_fixture(tmp_path, 60))
+    assert main(["lid", "--config", config]) == 0
+    lid_out = str(tmp_path / "out" / "lid" / "documents.jsonl")
+    # The demo corpus's two most frequent words, one of them in mixed case.
+    (tmp_path / "stops.txt").write_text("# frequent words\n\nBlAme\nchalk\n", encoding="utf-8")
+    edges = {}
+    for name, overrides in (("plain", []), ("stops", ["--set", "analytics.stopword_file=stops.txt"])):
+        out = tmp_path / name
+        argv = ["analyze", "--config", config, "--input", lid_out, "--output", str(out)]
+        assert main(argv + overrides) == 0
+        edges[name] = _edge_words(out / "analytics.json")
+    assert {"blame", "chalk"} <= edges["plain"]
+    assert not {"blame", "chalk"} & edges["stops"]
+
+    capsys.readouterr()
+    assert main(["analyze", "--config", config, "--input", lid_out,
+                 "--set", "analytics.stopword_file=missing.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refinery: config error: analytics.stopword_file: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -7,7 +7,7 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 
 from refinery.cli import main
-from refinery.config import ConfigError, PipelineConfig, WdsSettings, load_config
+from refinery.config import ConfigError, PipelineConfig, load_config
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -25,7 +25,7 @@ def test_minimal_config(tmp_path):
     config = load_config(_write(tmp_path, _minimal(tmp_path)))
     assert config.language == "aaa_Latn"
     assert config.dedup.signature_length == 256
-    assert config.wds.scoring.target_length_tokens == 200
+    assert config.wds.target_length_tokens == 200
     assert config.packaging.max_uncompressed_bytes == 1 << 30
 
 
@@ -232,9 +232,6 @@ def _config_fields(dc_type=PipelineConfig, prefix=""):
     hints = get_type_hints(dc_type)
     for f in fields(dc_type):
         annotation = hints[f.name]
-        if dc_type is WdsSettings and f.name == "scoring":  # flat: wds.<key>
-            yield from _config_fields(annotation, prefix)
-            continue
         yield prefix + f.name, annotation
         if is_dataclass(annotation):
             yield from _config_fields(annotation, f"{prefix}{f.name}.")
@@ -265,7 +262,7 @@ def test_wrong_typed_field_exits_2_naming_the_key(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("override, attribute, expected", [
     ("dedup.verify_threshold=1", "dedup.verify_threshold", 1),
     ("analytics.reference_total_tokens=null", "analytics.reference_total_tokens", None),
-    ("wds.weights={url_density: 2, digit_ratio: 0.5}", "wds.scoring.weights",
+    ("wds.weights={url_density: 2, digit_ratio: 0.5}", "wds.weights",
      {"url_density": 2, "digit_ratio": 0.5}),
 ], ids=["float-takes-int", "optional-takes-null", "weights-mapping"])
 def test_well_typed_values_load_unconverted(tmp_path, override, attribute, expected):

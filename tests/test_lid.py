@@ -297,6 +297,17 @@ def test_predict_documents_matches_predict(three_alphabet_model, texts, pick):
     _check_against_predict(model, texts, float(np.nextafter(planted, 1.0)))
 
 
+def test_predict_documents_normalizes_raw_segments(three_alphabet_model):
+    # U+0000 and U+0001 end documents and segments in the pass's stream;
+    # raw text holding them must not move those ends.
+    model, _ = three_alphabet_model
+    raw = [["Абв\x00где", "", "ABC\x01 déñ 12"], [], ["\x00\x01"], ["жзи αβγ", "Ωμέγα"]]
+    normal = [[normalize_for_lid(seg) for seg in segs] for segs in raw]
+    assert _predict_documents(model, raw, 0.5) == _predict_documents(model, normal, 0.5)
+    _, labels, _ = _predict_documents(model, raw, 0.5)
+    assert labels == [tuple(classify(seg, model).label for seg in segs) for segs in raw]
+
+
 def test_planted_confidence_is_decided_by_predict(three_alphabet_model, rng):
     model, _ = three_alphabet_model
     # A document mixing two scripts, so that its confidence is not 1.0.

@@ -19,65 +19,65 @@ def three_workers(monkeypatch):
     monkeypatch.setattr(parallel, "MIN_CHARS", 1)
 
 
+def _chunk(start, stop):
+    return start, stop, os.getpid()
+
+
 def test_keeps_order_across_uneven_chunks(three_workers):
-    items = list(range(11))  # chunks of 3, 4 and 4 items
-    results, workers = pmap(lambda x: (x * x, os.getpid()), items, len(items))
-    assert workers == 3
-    assert [square for square, _ in results] == [x * x for x in items]
-    assert os.getpid() not in {pid for _, pid in results}
+    chunks = pmap(_chunk, 11, 11)  # chunks of 3, 4 and 4
+    assert [(start, stop) for start, stop, _ in chunks] == [(0, 3), (3, 7), (7, 11)]
+    assert os.getpid() not in {pid for _, _, pid in chunks}
 
 
 def test_never_nests(three_workers):
-    def inner_workers(x):
-        return pmap(lambda y: y + x, list(range(12)), 12)[1]
+    def inner_workers(start, stop):
+        return [len(pmap(_chunk, 12, 12)) for _ in range(start, stop)]
 
-    results, workers = pmap(inner_workers, list(range(12)), 12)
-    assert workers == 3
-    assert results == [1] * 12
+    chunks = pmap(inner_workers, 12, 12)
+    assert len(chunks) == 3
+    assert [n for chunk in chunks for n in chunk] == [1] * 12
 
 
 def test_serial_below_two_workers(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    results, workers = pmap(lambda x: os.getpid(), list(range(1000)), 10**9)
-    assert workers == 1
-    assert results == [os.getpid()] * 1000
+    assert pmap(_chunk, 1000, 10**9) == [(0, 1000, os.getpid())]
 
 
 def test_serial_below_two_workers_worth_of_chars(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-    items = list(range(1000))
-    assert pmap(str, items, 2 * parallel.MIN_CHARS - 1) == ([str(x) for x in items], 1)
-    assert pmap(str, items, 2 * parallel.MIN_CHARS) == ([str(x) for x in items], 2)
-    assert pmap(str, items[:1], 10 * parallel.MIN_CHARS) == (["0"], 1)
+    assert pmap(range, 1000, 2 * parallel.MIN_CHARS - 1) == [range(0, 1000)]
+    assert pmap(range, 1000, 2 * parallel.MIN_CHARS) == [range(0, 500), range(500, 1000)]
+    assert pmap(range, 1, 10 * parallel.MIN_CHARS) == [range(0, 1)]
+    assert pmap(range, 0, 10 * parallel.MIN_CHARS) == [range(0, 0)]
 
 
 def test_worker_exception_reaches_the_caller_with_its_message(three_workers):
-    def check(x):
-        if x == 7:
-            raise DocumentError(f"bad record {x}")
-        return x
+    def check(start, stop):
+        if start <= 7 < stop:
+            raise DocumentError("bad record 7")
+        return stop
 
     with pytest.raises(DocumentError, match=r"^bad record 7$"):
-        pmap(check, list(range(12)), 12)
+        pmap(check, 12, 12)
 
 
 def test_killed_worker_raises_worker_error(three_workers):
-    def die(x):
-        if x == 5:
+    def die(start, stop):
+        if start <= 5 < stop:
             os.kill(os.getpid(), signal.SIGKILL)
-        return x
+        return stop
 
     with pytest.raises(WorkerError, match="a worker process died"):
-        pmap(die, list(range(12)), 12)
+        pmap(die, 12, 12)
     # The next map starts a fresh pool.
-    assert pmap(str, list(range(12)), 12) == ([str(x) for x in range(12)], 3)
+    assert pmap(range, 12, 12) == [range(0, 4), range(4, 8), range(8, 12)]
 
 
 def test_leaves_no_thread_running(three_workers):
     # The pool's manager and queue threads must be gone before the next map
     # forks: a fork beside live threads can deadlock the child.
     before = threading.enumerate()
-    pmap(str, list(range(12)), 12)
+    pmap(range, 12, 12)
     assert threading.enumerate() == before
 
 
@@ -87,3 +87,16 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                             check=True, capture_output=True, text=True, timeout=60)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_importing_the_cli_leaves_one_thread():
+    # numpy's OpenBLAS would start a second thread, beside which a fork
+    # could deadlock; refinery caps it to one before numpy loads.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    script = ("import refinery.cli\n"
+              "print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))")
+    result = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": str(src)},
+                            check=True, capture_output=True, text=True, timeout=60)
+    assert result.stdout.split() == ["Threads:", "1"]
