@@ -8,18 +8,19 @@ Segment and token here mean the same units used everywhere else in the
 pipeline: trimmed non-empty lines and whitespace tokens. An empty corpus
 gives a report of zeros.
 
-``top_ngrams`` counts over integer token ids, not strings. One vocabulary
-dict maps each lowercased token to an id; one flat array holds the ids of
-every segment's tokens, beside each position's segment index and a
-stopword flag. The n-grams starting at each position are ranked from the
-order below: ``np.unique`` numbers the keys ``rank[i] * V + id[i + n - 1]``
-(V the vocabulary size), so equal ranks mean equal n-grams, and as ranks
-stay below the token count the keys fit in int64. Only windows inside one
-segment with no stopword at either edge are counted. ``np.partition``
-finds the k-th largest count, only grams counted at least that often are
-joined into strings, and ``heapq.nsmallest`` keeps the top k by (-count,
-joined string). Ties break on the joined string, not on the token tuple:
-the two orders differ for tokens that hold characters below ``" "``.
+``top_ngrams`` counts over integer token ids in a few dozen bytes per
+token. Lowercased tokens stream through one vocabulary dict into one flat
+id array, beside a stopword flag and the tokens left in the segment from
+each position, in ``int32`` while the token count fits. The n-grams at
+each position are ranked from the order below: ``np.argsort`` sorts the
+``int64`` keys ``rank[i] * V + id[i + n - 1]`` (V the vocabulary size)
+and a running sum of key changes numbers them, so equal ranks mean equal
+n-grams. A window of order n counts if n tokens are left at its start and
+no stopword is at either edge. ``np.partition`` finds the k-th largest
+count; the grams counted at least that often are joined into strings a
+fixed-size slice at a time, and ``heapq.nsmallest`` keeps the top k by
+(-count, joined string). Ties break on the joined string, not on the
+token tuple: the orders differ for tokens with characters below ``" "``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
+from itertools import chain
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -43,6 +46,7 @@ LARGE_DOCUMENT_SEGMENTS = 25  # "large" means strictly more segments than this
 SHORT_SEGMENT_TOKENS = 3  # "short" means strictly fewer tokens than this
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 TOP_NGRAMS = 5
+DECODE_SLICE = 4096  # tied candidate n-grams joined into strings at once
 
 @dataclass(frozen=True)
 class CorpusSummary:
@@ -139,56 +143,75 @@ def top_ngrams(
     stopword are discarded. Ties break lexicographically on the joined
     n-gram string.
     """
-    tokens: list[str] = []
-    lengths: list[int] = []
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # a new token's id is the vocabulary size
+    stream, lengths = array("q"), array("q")
     for doc in corpus:
         for seg in doc.segments:
-            seg_tokens = seg.text.lower().split()
-            tokens.extend(seg_tokens)
-            lengths.append(len(seg_tokens))
-    vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-    ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
-    del tokens
+            before = len(stream)
+            stream.extend(map(vocab.__getitem__, seg.text.lower().split()))
+            lengths.append(len(stream) - before)
+    if (len(stream) + 1) * (len(vocab) + 1) > np.iinfo(np.int64).max:
+        raise OverflowError(f"{len(stream)} tokens are too many to key n-grams in int64")
+    dtype = np.int32 if len(stream) < np.iinfo(np.int32).max else np.int64
+    ids = np.asarray(stream).astype(dtype)
+    del stream
+    # The tokens from each position to the end of its segment, itself included.
+    left = np.repeat(np.cumsum(lengths, dtype=dtype), lengths)
+    left -= np.arange(len(ids), dtype=dtype)
     words = np.array(list(vocab), dtype=object)
-    segment = np.repeat(np.arange(len(lengths)), lengths)
     is_stop = np.fromiter(map(stopwords.__contains__, vocab), bool, len(vocab))
     content = ~is_stop[ids]
     found: dict[int, list[tuple[str, int]]] = {}
     rank = ids  # equal ranks mark equal n-grams starting at those positions
     for n in range(1, max(orders, default=0) + 1):
         if n > 1:
-            # Ranks stay below the token count, so the key fits in int64.
-            key = rank[:-1] * len(vocab) + ids[n - 1 :]
-            rank = np.unique(key, return_inverse=True)[1]
+            key = rank[:-1].astype(np.int64)
+            del rank
+            key *= len(vocab)
+            key += ids[n - 1 :]
+            order = np.argsort(key)
+            key = key[order]
+            fresh = np.concatenate(([False], key[1:] != key[:-1]))  # the smallest key ranks 0
+            del key
+            rank = np.empty(len(order), dtype)
+            rank[order] = np.cumsum(fresh, dtype=dtype)
+            del order, fresh
         if n in orders:
-            m, last = len(rank), n - 1
-            inside = segment[:m] == segment[last:]
-            starts = np.flatnonzero(inside & content[:m] & content[last:])
-            found[n] = _most_frequent(n, rank[starts], starts, ids, words, top_k)
+            m = len(rank)
+            counted = (left[:m] >= n) & content[:m] & content[n - 1 :]
+            found[n] = _most_frequent(n, rank, counted, ids, words, top_k)
     return NgramReport({n: found[n] for n in orders})
 
 
 def _most_frequent(
     n: int,
-    ranks: np.ndarray,
-    starts: np.ndarray,
+    rank: np.ndarray,
+    counted: np.ndarray,
     ids: np.ndarray,
     words: np.ndarray,
     top_k: int,
 ) -> list[tuple[str, int]]:
-    """Top k (n-gram, count) pairs over the windows at ``starts``."""
-    counts = np.bincount(ranks)
+    """Top k (n-gram, count) pairs over the windows where ``counted`` holds."""
+    starts = np.flatnonzero(counted)
+    ranks = rank[starts]
+    start_of = np.empty(ranks.max(initial=-1) + 1, ids.dtype)  # one window of each gram
+    start_of[ranks] = starts
+    del starts
+    counts = np.bincount(ranks, minlength=len(start_of))
+    del ranks
     k = min(max(top_k, 0), np.count_nonzero(counts))
     if k == 0:
         return []
     # Only grams counted at least as often as the k-th largest count can
-    # make the top k; decode each of them from one of its windows.
+    # make the top k; decode them a slice at a time from those windows.
     kept = np.flatnonzero(counts >= np.partition(counts, len(counts) - k)[-k])
-    start_of = np.empty(len(counts), np.int64)
-    start_of[ranks] = starts
-    windows = start_of[kept, None] + np.arange(n)
-    grams = map(" ".join, words[ids[windows]].tolist())
-    best = heapq.nsmallest(k, zip((-counts[kept]).tolist(), grams))
+    best: list[tuple[int, str]] = []
+    for lo in range(0, len(kept), DECODE_SLICE):
+        part = kept[lo : lo + DECODE_SLICE]
+        windows = start_of[part, None] + np.arange(n)
+        grams = map(" ".join, words[ids[windows]].tolist())
+        best = heapq.nsmallest(k, chain(best, zip((-counts[part]).tolist(), grams)))
     return [(gram, -negated) for negated, gram in best]
 
 

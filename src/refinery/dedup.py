@@ -205,10 +205,14 @@ def _buckets(
     for band in range(bands):
         columns = matrix[:, band * rows : (band + 1) * rows]
         # Rows share a bucket only if they share the band's first value, so
-        # only those rows are sorted on the whole band.
+        # only those rows, found by binary search in the sorted repeated
+        # values (np.isin would load numpy.ma), are sorted on the whole band.
         ranked = np.sort(columns[:, 0])
         repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-        subset = np.flatnonzero(np.isin(columns[:, 0], repeated))
+        if not len(repeated):
+            continue
+        at = np.searchsorted(repeated, columns[:, 0]).clip(max=len(repeated) - 1)
+        subset = np.flatnonzero(repeated[at] == columns[:, 0])
         keys = [columns[subset, c] for c in reversed(range(rows))]  # last key sorts first
         if groups is not None:
             keys.append(groups[subset])
@@ -446,8 +450,8 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     if params.candidates == "lsh":
         groups = None
         if params.mode == "per_crawl":
-            collections = [doc.collection for doc in signed]
-            groups = np.unique(collections, return_inverse=True)[1]
+            code = {name: i for i, name in enumerate(sorted({doc.collection for doc in signed}))}
+            groups = np.array([code[doc.collection] for doc in signed])
         buckets = _buckets(matrix, params.bands, params.rows, groups)
         uf, row_similarity, verified = _cluster_buckets(
             buckets, len(ids), verify_rows, params.verify_threshold

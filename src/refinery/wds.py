@@ -149,7 +149,8 @@ def score_document(
     subsignals = compute_subsignals(doc)
     if not doc.segments:
         return WdsReport(0.0, 0.0, 0.0, subsignals, 0.0, 0)
-    length = _length_score(len(doc.text.split()), config)
+    # Segments are the text's lines, so their tokens are the text's tokens.
+    length = _length_score(sum(s.token_count for s in doc.segments), config)
     penalty = _oddity_penalty(subsignals, config)
     score = 10.0 * seg_profile * length * (1.0 - penalty)
     return WdsReport(seg_profile, length, penalty, subsignals, score, wds_level(score))

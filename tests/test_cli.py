@@ -1,5 +1,9 @@
 import json
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -687,21 +691,23 @@ def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):
         "documents.jsonl", "documents.jsonl.tmp", "report.json"]
 
 
-def _demo_fixture(tmp_path, docs: int):
-    """Write scripts/make_fixture.py's demo corpus and config; the config's path."""
-    import os
-    import subprocess
-    from pathlib import Path
+_REPO = Path(__file__).resolve().parents[1]
 
-    repo = Path(__file__).resolve().parents[1]
+
+def _env_with_src() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _demo_fixture(tmp_path, docs: int):
+    """Write scripts/make_fixture.py's demo corpus and config; the config's path."""
     subprocess.run(
-        [sys.executable, str(repo / "scripts" / "make_fixture.py"), str(tmp_path),
+        [sys.executable, str(_REPO / "scripts" / "make_fixture.py"), str(tmp_path),
          "--docs", str(docs)],
-        check=True, env=env, capture_output=True,
+        check=True, env=_env_with_src(), capture_output=True,
     )
     return tmp_path / "pipeline.json"
 
@@ -763,3 +769,45 @@ def test_stopword_file_words_start_and_end_no_top_ngram(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("refinery: config error: analytics.stopword_file: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["global", "per_crawl"])
+def test_all_never_loads_numpy_ma(tmp_path, mode):
+    # np.unique loads numpy.ma on first use (about 2 MB of RSS); a demo
+    # corpus of 200 documents has LSH band values that repeat.
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    if bare.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    config = _demo_fixture(tmp_path, 200)
+    script = (
+        "import sys\nfrom refinery.cli import main\n"
+        f"code = main(['all', '--config', {str(config)!r}, '--set', 'dedup.mode={mode}'])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+def test_compare_runs_reports_identical_and_differing_trees(tmp_path):
+    config = _demo_fixture(tmp_path, 60)
+    changed = tmp_path / "changed"
+    shutil.copytree(_REPO / "src" / "refinery", changed / "refinery")
+    analytics = changed / "refinery" / "analytics.py"
+    analytics.write_text(analytics.read_text(encoding="utf-8").replace(
+        "TOP_NGRAMS = 5\n", "TOP_NGRAMS = 4\n"), encoding="utf-8")
+    outputs = []
+    for other in (_REPO / "src", changed):
+        result = subprocess.run(
+            [sys.executable, str(_REPO / "scripts" / "compare_runs.py"), "--runs", "1",
+             str(_REPO / "src"), str(other), "--", "all", "--config", str(config)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:4]] == [
+            "A run 1", "B run 1", "A median", "B median"], result.stderr
+        outputs.append((result.returncode, lines[-1]))
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("outputs identical: ")
+    assert outputs[1] == (1, "outputs differ: analyze/analytics.json, analyze/analytics.txt")

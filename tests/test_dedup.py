@@ -7,6 +7,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from refinery.dedup import (
@@ -15,6 +16,7 @@ from refinery.dedup import (
     EmptyShingleSetError,
     MinHashSignature,
     ShingleSet,
+    _buckets,
     _cluster_buckets,
     cluster,
     dedup,
@@ -241,6 +243,29 @@ class TestLsh:
             }
             assert lsh_candidates(sigs, bands, rows) == expected
 
+    def test_no_first_band_value_repeats(self):
+        # Distinct first values leave no repeats to search, even though the
+        # rest of every band agrees.
+        matrix = np.full((6, 8), 7, dtype=np.uint64)
+        matrix[:, ::4] = np.arange(12, dtype=np.uint64).reshape(6, 2)
+        assert list(_buckets(matrix, 2, 4)) == []
+        sigs = {f"id{i}": MinHashSignature(tuple(row), 8, 0)
+                for i, row in enumerate(matrix.tolist())}
+        assert lsh_candidates(sigs, 2, 4) == set()
+
+    def test_every_row_identical(self):
+        matrix = np.tile(np.arange(8, dtype=np.uint64), (5, 1))
+        assert list(_buckets(matrix, 4, 2)) == [[0, 1, 2, 3, 4]] * 4
+        sigs = {f"id{i}": MinHashSignature(tuple(row), 8, 0)
+                for i, row in enumerate(matrix.tolist())}
+        assert lsh_candidates(sigs, 4, 2) == set(combinations(sorted(sigs), 2))
+
+    def test_buckets_split_by_group_code(self):
+        matrix = np.zeros((5, 2), dtype=np.uint64)
+        matrix[4] = 1
+        groups = np.array([1, 0, 1, 0, 0])
+        assert list(_buckets(matrix, 1, 2, groups)) == [[1, 3], [0, 2]]
+
 
 class TestCluster:
     def test_no_pairs_is_identity_partition(self):
@@ -434,6 +459,21 @@ class TestDedup:
         kept_crawl = dedup(corpus, DedupParams(mode="per_crawl")).retained
         assert [d.id for d in kept_global] == ["a"]
         assert [d.id for d in kept_crawl] == ["a", "b"]
+
+    def test_per_crawl_codes_collections_in_sorted_order(self, rng):
+        # The collections are first seen in an order unlike their sorted one;
+        # LSH buckets must still group, and order, as verifying all pairs does.
+        names = ["crawl-z", "crawl-b", "crawl-m"]
+        docs = [doc.replace(collection=names[i // 2 % 3])
+                for i, doc in enumerate(_duplicate_corpus(rng, n_groups=40))]
+        corpus = Corpus(docs, "eng_Latn")
+        lsh = dedup(corpus, DedupParams(mode="per_crawl"))
+        oracle = dedup(corpus, DedupParams(mode="per_crawl", candidates="all_pairs"))
+        assert lsh.clusters.representative == oracle.clusters.representative
+        assert lsh.removals == oracle.removals
+        assert lsh.removals  # duplicates within a collection were found
+        spared = len(dedup(corpus, DedupParams()).removals) - len(lsh.removals)
+        assert spared > 0  # and some across collections were kept
 
     def _oracle_retained(self, corpus, params):
         """Quadratic exact-Jaccard + connected-components reference."""

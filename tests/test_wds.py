@@ -108,6 +108,12 @@ class TestScore:
         assert above.length_score == 1.0
         assert math.isclose(middle.length_score, (110 - 20) / 180)
 
+    def test_length_counts_the_text_tokens_across_any_whitespace(self):
+        text = "a\tb\r\nc\x1cd  e\n\n \x85 \n  f g  "
+        assert len(text.split()) == 7
+        config = WdsConfig(min_length_tokens=3, target_length_tokens=11)
+        assert score_document(_doc(text), 1.0, config).length_score == 0.5
+
     def test_duplicated_text_never_decreases_length_score(self, rng):
         for _ in range(50):
             text = _clean_text(rng.randint(5, 120))
