@@ -14,8 +14,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
-import yaml
-
 from .dedup import DedupParams
 from .evalagg import RANKING_MODES, SelectionThresholds
 from .packaging import PackagingConfig
@@ -160,10 +158,19 @@ def _apply_overrides(raw: dict[str, Any], overrides: Iterable[str]) -> None:
             if not isinstance(child, dict):
                 raise ConfigError(f"override {key!r}: {part!r} is not a section")
             node = child
-        try:
-            node[leaf] = yaml.safe_load(value)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override {key!r}: {_one_line(exc)}") from exc
+        node[leaf] = _parse_yaml(value, f"override {key!r}")
+
+
+def _parse_yaml(text: str, where: str) -> Any:
+    """``text`` parsed as YAML, or a ConfigError that starts with ``where``.
+    PyYAML is imported only here, so a JSON config without overrides never
+    loads it (about 1 MB of RSS and 20 ms)."""
+    import yaml
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: {_one_line(exc)}") from exc
 
 
 def _one_line(exc: Exception) -> str:
@@ -193,10 +200,13 @@ def load_config(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {_one_line(exc)}") from exc
+    if path.suffix != ".json":
+        raw = _parse_yaml(text, f"cannot parse config {path}")
+    else:
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse config {path}: {_one_line(exc)}") from exc
     raw = _mapping(raw, "")
     _apply_overrides(raw, overrides)
     config = _build(PipelineConfig, raw, "")

@@ -7,7 +7,10 @@ read little-endian. The shingle hash of the n-gram w_1 .. w_n is
 mix64(t(w_1) + G t(w_2) + G^2 t(w_3) + ... + G^(n-1) t(w_n)) modulo 2^64,
 with the odd constant G = 0x9E3779B97F4A7C15, so the order of the tokens
 counts; numpy computes it for every window of a document at once.
-``blake2b`` is unsalted, so the hashes agree across processes and runs.
+``blake2b`` is unsalted, so the hashes agree across processes and runs;
+it is bound from CPython's ``_blake2``, the object ``hashlib.blake2b`` is,
+because importing ``hashlib`` maps OpenSSL's libcrypto (about 3.7 MB of
+RSS) for nothing else.
 
 Signatures use a splitmix64-style mixing family: component i is
 min over shingles x of mix64(x ^ r_i), with the r_i derived from the run
@@ -16,10 +19,13 @@ avalanche, so component agreement estimates Jaccard similarity the same
 way seeded permutations would, and everything vectorizes in uint64.
 
 Documents are shingled and signed in one ``parallel.pmap`` over ranges
-of their indices. Each range, in a worker or serially, normalizes its
-documents' texts in one ``lid.normalize_many`` pass and returns the
-indices it signed with one ``uint64`` block of their rows; the blocks,
-put in (collection, id) order, form one matrix. The normalized text is
+of their indices, in (collection, id) order, into one ``uint64[N, k]``
+matrix allocated beforehand in a shared anonymous mapping. Each range, in
+a forked worker or serially, normalizes its documents' texts in one
+``lid.normalize_many`` pass, writes the rows it signs in order from the
+row of its start and returns that start with the indices it signed; the
+parent then closes the gaps left by documents too short to shingle, chunk
+by chunk, so that no row is pickled or held twice. The normalized text is
 not kept on ``Document``, since normalizing in blocks costs little and a
 kept copy would hold memory across stages. LSH
 buckets the rows whose values in a band are identical (per crawl, within
@@ -35,7 +41,8 @@ corpora and oracle testing, verifies every pair through ``cluster``.
 
 from __future__ import annotations
 
-import hashlib
+import mmap
+from _blake2 import blake2b
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
@@ -52,7 +59,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _NO_HASH = np.iinfo(np.uint64).max
-# Elements of the (shingle, seed) block that signing mixes at once.
+# Elements of the (shingle, seed) block that signing mixes at once, and of
+# the block of rows that closing the matrix's gaps moves at once.
 _SIGN_BLOCK = 1 << 16
 
 
@@ -127,7 +135,7 @@ class _TokenHashes(dict):
     """Token -> its 64-bit ``blake2b`` hash, computed on first sight."""
 
     def __missing__(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
         value = self[token] = int.from_bytes(digest, "little")
         return value
 
@@ -410,37 +418,45 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     k = params.signature_length
     seeds = _hash_seeds(k, params.seed)
 
-    def sign(start: int, stop: int) -> tuple[list[int], np.ndarray, list[ShingleSet]]:
-        """Which of ``ranked[start:stop]`` are long enough to shingle, their
-        rows, and their shingle sets only when exact verification reads them."""
+    # Forked workers write their rows straight into this mapping, which is
+    # MAP_SHARED; a mapping may not be empty, so it holds at least one row.
+    rows = np.frombuffer(mmap.mmap(-1, max(len(ranked), 1) * k * 8), np.uint64,
+                         len(ranked) * k).reshape(len(ranked), k)
+
+    def sign(start: int, stop: int) -> tuple[int, list[int], list[ShingleSet]]:
+        """Sign which of ``ranked[start:stop]`` are long enough to shingle
+        into the rows from ``start`` on; ``start``, their indices, and their
+        shingle sets only when exact verification reads them."""
         signed: list[int] = []
-        rows = np.empty((stop - start, k), dtype=np.uint64)
         shingle_sets: list[ShingleSet] = []
         texts = normalize_many(doc.text for doc in ranked[start:stop])
         for i, text in enumerate(texts, start):
             hashes = _shingle_hashes(text, params.ngram_order, vocab)
             if not len(hashes):
                 continue
-            rows[len(signed)] = _sign(hashes, seeds)
+            rows[start + len(signed)] = _sign(hashes, seeds)
             signed.append(i)
             if params.exact_verification:
                 shingle_sets.append(ShingleSet(frozenset(hashes.tolist()), params.ngram_order))
-        return signed, rows[:len(signed)], shingle_sets
+        return start, signed, shingle_sets
 
     chunks = pmap(sign, len(ranked), sum(len(doc.text) for doc in docs))
     workers = len(chunks)
-    signed = [ranked[i] for chunk in chunks for i in chunk[0]]
+    signed = [ranked[i] for chunk in chunks for i in chunk[1]]
     ids = [doc.id for doc in signed]
     shingle_sets = [s for chunk in chunks for s in chunk[2]]
-    blocks = [chunk[1] for chunk in chunks]
+    # Each chunk's rows move down behind the previous chunk's, a block at a
+    # time: numpy copies an overlapping source first, so a chunk moved in one
+    # piece would be held twice.
+    at, step = 0, max(1, _SIGN_BLOCK // k)
+    for start, chunk_signed, _ in chunks:
+        if start > at:
+            for lo in range(0, len(chunk_signed), step):
+                hi = min(lo + step, len(chunk_signed))
+                rows[at + lo:at + hi] = rows[start + lo:start + hi]
+        at += len(chunk_signed)
     del chunks
-    # A lone block is the matrix. Otherwise each block is let go once copied,
-    # so that the rows are held about once, not twice.
-    matrix = blocks.pop() if len(blocks) == 1 else np.empty((len(signed), k), dtype=np.uint64)
-    at = 0
-    while blocks:
-        matrix[at:at + len(blocks[0])] = blocks[0]
-        at += len(blocks.pop(0))
+    matrix = rows[:len(signed)]
 
     def verify_rows(a: int, b: int) -> float:
         if params.exact_verification:

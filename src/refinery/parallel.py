@@ -6,7 +6,10 @@ results in order; ``chars`` is the size of the work's text in characters.
 Given at least ``MIN_CHARS`` characters per worker and two usable CPUs,
 the chunks run in forked worker processes. ``fn`` reaches the workers
 through fork, from the module global ``_task``, so a config is never
-pickled: only chunk bounds go out and results come back. It runs
+pickled: only chunk bounds go out and ``fn``'s return values come back
+pickled. A large result is better written into memory shared before the
+map, such as an anonymous ``mmap``, which forked workers write in place
+(dedup's signature matrix). It runs
 serially, returning ``[fn(0, n)]``, with fewer than two workers, where
 ``fork`` is unavailable, and inside a worker. ``multiprocessing`` is
 imported only when a map forks.

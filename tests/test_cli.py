@@ -266,7 +266,9 @@ def test_dedup_single_pair_reported(tmp_path):
     assert [(d.id, d.removed_reason) for d in removed] == [("b", "duplicate")]
 
 
-def test_eval_agg_stage(tmp_path):
+def _eval_agg_config(tmp_path):
+    """Write a two-model, two-task evaluation grid and its JSON config; the
+    config's path."""
     rows = []
     for model, lift in [("m_base", 0.0), ("m_plus", 0.1)]:
         for checkpoint in (1, 2, 3):
@@ -311,7 +313,11 @@ def test_eval_agg_stage(tmp_path):
             }
         )
     )
-    assert main(["eval-agg", "--config", str(config)]) == 0
+    return config
+
+
+def test_eval_agg_stage(tmp_path):
+    assert main(["eval-agg", "--config", str(_eval_agg_config(tmp_path))]) == 0
     report = json.loads((tmp_path / "out" / "eval_agg" / "evalagg.json").read_text())
     assert report["task_selection"]["selected"] == ["taskA", "taskB"]
     assert report["multilingual"]["borda_ranking"] == ["m_plus", "m_base"]
@@ -789,6 +795,28 @@ def test_all_never_loads_numpy_ma(tmp_path, mode):
     result = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                             capture_output=True, text=True, timeout=300)
     assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+def test_runs_from_a_json_config_load_neither_openssl_nor_pyyaml(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.7 MB of RSS) and PyYAML costs
+    # about 1 MB; a JSON config without --set needs neither.
+    unused = ("_hashlib", "hashlib", "yaml")
+    probe = f"import sys; print(*(m for m in {unused!r} if m in sys.modules))"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    if bare.stdout.strip():
+        pytest.skip(f"a bare interpreter loads {bare.stdout.strip()}")
+    (tmp_path / "demo").mkdir()
+    (tmp_path / "grid").mkdir()
+    configs = {"all": _demo_fixture(tmp_path / "demo", 200),
+               "eval-agg": _eval_agg_config(tmp_path / "grid")}
+    for stage, config in configs.items():
+        script = ("import sys\nfrom refinery.cli import main\n"
+                  f"code = main([{stage!r}, '--config', {str(config)!r}])\n"
+                  f"print(code, *(m for m in {unused!r} if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                                capture_output=True, text=True, timeout=300)
+        assert result.stdout.split() == ["0"], (stage, result.stdout, result.stderr)
 
 
 def test_compare_runs_reports_identical_and_differing_trees(tmp_path):

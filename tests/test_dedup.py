@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refinery import parallel
 from refinery.dedup import (
     DedupConfigError,
     DedupParams,
@@ -509,6 +511,47 @@ class TestDedup:
             assert len(corpus) <= 200
             got = {d.id for d in dedup(corpus, params).retained}
             assert got == self._oracle_retained(corpus, params)
+
+
+def _short_at_chunk_ends(rng, workers=3):
+    """A duplicate corpus whose documents at both ends of each of
+    ``workers`` equal chunks, in (collection, id) order, are too short to
+    shingle: two at each chunk's start, one at its end."""
+    ranked = sorted(_duplicate_corpus(rng, n_groups=40), key=Document.sort_key)
+    bounds = [len(ranked) * i // workers for i in range(workers + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        for i in (start, start + 1, stop - 1):
+            ranked[i] = ranked[i].replace(text="too short")
+    return Corpus(ranked, "eng_Latn")
+
+
+@pytest.mark.parametrize("case", ["short_at_chunk_ends", "exact_verification",
+                                  "none_shingles", "empty"])
+def test_forked_workers_sign_into_the_matrix_as_one_process_does(monkeypatch, rng, case):
+    corpus = _short_at_chunk_ends(rng)
+    if case == "none_shingles":
+        corpus = Corpus([doc.replace(text="too short") for doc in corpus], "eng_Latn")
+    elif case == "empty":
+        corpus = Corpus([], "eng_Latn")
+    params = DedupParams(exact_verification=case == "exact_verification")
+    monkeypatch.setattr(parallel, "MIN_CHARS", 1)
+    results = {}
+    for cpus in (3, 1):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = dedup(corpus, params)
+    forked, serial = results[3], results[1]
+    assert (forked.workers, serial.workers) == ((1, 1) if case == "empty" else (3, 1))
+    assert forked.removals == serial.removals
+    assert [doc.id for doc in forked.retained] == [doc.id for doc in serial.retained]
+    assert forked.clusters == serial.clusters
+    assert bool(serial.removals) == (case in ("short_at_chunk_ends", "exact_verification"))
+
+
+def test_token_hash_is_hashlibs_blake2b():
+    # dedup binds blake2b from _blake2 so that no run loads OpenSSL; it must
+    # stay the function hashlib documents, or token hashes could drift.
+    # (The package's attribute ``dedup`` is the function, not the module.)
+    assert importlib.import_module("refinery.dedup").blake2b is hashlib.blake2b
 
 
 def _chain_corpus(rng, n_chains=12):
