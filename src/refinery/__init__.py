@@ -6,7 +6,7 @@ import os
 # no thread, so dedup's process map forks a single-threaded process.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .documents import Corpus, Document, Segment, parse_document_line, segment_text
+from .documents import Corpus, Document, parse_document_line, segment_text
 from .dedup import DedupParams, dedup, estimate_jaccard, lsh_candidates, shingle, signature
 from .lid import LangPrediction, NgramLanguageClassifier, classify, normalize_for_lid, profile_segments
 from .wds import WdsConfig, WdsReport, filter_by_level, score_document, wds_level

@@ -5,8 +5,9 @@ segments, so results are independent of document order. Each function
 makes its own pass over the corpus and reads ``Document.segments``, so
 segmenting happens once per document however many statistics read it.
 Segment and token here mean the same units used everywhere else in the
-pipeline: trimmed non-empty lines and whitespace tokens. An empty corpus
-gives a report of zeros.
+pipeline: trimmed non-empty lines, held as strings, and whitespace
+tokens, counted where a statistic reads them. An empty corpus gives a
+report of zeros.
 
 ``top_ngrams`` counts over integer token ids in a few dozen bytes per
 token. Lowercased tokens stream through one vocabulary dict into one flat
@@ -80,18 +81,14 @@ def corpus_summary(
 ) -> CorpusSummary:
     if len(corpus) == 0:
         return CorpusSummary(0, 0, 0.0, 0.0 if reference_total_tokens else None)
-    total = sum(seg.token_count for doc in corpus for seg in doc.segments)
+    total = sum(len(doc.text.split()) for doc in corpus)
     return summary_from_totals(len(corpus), total, reference_total_tokens)
 
 
 def unique_segment_ratio(corpus: Corpus) -> float:
     """Distinct segment strings over total segment occurrences."""
-    seen: set[str] = set()
-    occurrences = 0
-    for doc in corpus:
-        for seg in doc.segments:
-            seen.add(seg.text)
-            occurrences += 1
+    seen = set(chain.from_iterable(doc.segments for doc in corpus))
+    occurrences = sum(len(doc.segments) for doc in corpus)
     if occurrences == 0:
         logger.warning("unique_segment_ratio: corpus has no segments")
         return 0.0
@@ -103,7 +100,8 @@ def length_profiles(corpus: Corpus) -> tuple[float, float]:
     fraction of segments with <3 tokens)."""
     large = sum(len(doc.segments) > LARGE_DOCUMENT_SEGMENTS for doc in corpus)
     segments = sum(len(doc.segments) for doc in corpus)
-    short = sum(seg.token_count < SHORT_SEGMENT_TOKENS for doc in corpus for seg in doc.segments)
+    short = sum(len(seg.split(None, SHORT_SEGMENT_TOKENS)) < SHORT_SEGMENT_TOKENS
+                for doc in corpus for seg in doc.segments)  # splits stop past "short"
     return (large / len(corpus) if len(corpus) else 0.0,
             short / segments if segments else 0.0)
 
@@ -149,7 +147,7 @@ def top_ngrams(
     for doc in corpus:
         for seg in doc.segments:
             before = len(stream)
-            stream.extend(map(vocab.__getitem__, seg.text.lower().split()))
+            stream.extend(map(vocab.__getitem__, seg.lower().split()))
             lengths.append(len(stream) - before)
     if (len(stream) + 1) * (len(vocab) + 1) > np.iinfo(np.int64).max:
         raise OverflowError(f"{len(stream)} tokens are too many to key n-grams in int64")

@@ -43,6 +43,7 @@ from .documents import (
     Document,
     DocumentError,
     read_documents,
+    read_utf8,
     write_atomic,
     write_documents,
 )
@@ -83,22 +84,13 @@ def _write_json_atomic(obj, path: Path) -> None:
     )
 
 
-def _read_seed(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StageError(
-            f"{path}: not valid UTF-8 (byte offset {exc.start}: {exc.reason})"
-        ) from exc
-
-
 def _load_classifier(config: PipelineConfig, base: Path) -> NgramLanguageClassifier | None:
     try:
         if config.lid.classifier_path:
             return NgramLanguageClassifier.load(resolve(config.lid.classifier_path, base))
         if config.lid.seed_texts:
             return NgramLanguageClassifier.train({
-                label: _read_seed(resolve(path, base))
+                label: read_utf8(resolve(path, base))
                 for label, path in config.lid.seed_texts.items()
             })
     except ClassifierError as exc:
@@ -115,8 +107,7 @@ def stage_lid(
             "lid stage needs lid.classifier_path or lid.seed_texts in the config"
         )
     min_confidence = config.lid.min_confidence
-    verdicts = model.predict_documents(
-        ([seg.text for seg in doc.segments] for doc in docs), min_confidence)
+    verdicts = model.predict_documents((doc.segments for doc in docs), min_confidence)
     kept: list[Document] = []
     rejected: list[Document] = []
     rescored = 0
@@ -159,8 +150,7 @@ def stage_score(
                 "configured; run the lid stage first"
             )
         # Score reads only the segment labels: no document is held to a confidence.
-        verdicts = model.predict_documents(
-            ([seg.text for seg in doc.segments] for doc in unlabeled), 0.0)
+        verdicts = model.predict_documents((doc.segments for doc in unlabeled), 0.0)
     scored: list[Document] = []
     for doc in docs:
         seg_langs = doc.seg_langs

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 from .dedup import DedupParams
+from .documents import DocumentError, read_utf8
 from .evalagg import RANKING_MODES, SelectionThresholds
 from .packaging import PackagingConfig
 from .wds import WdsConfig
@@ -197,9 +198,11 @@ def load_config(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except DocumentError as exc:
+        raise ConfigError(str(exc)) from exc
     if path.suffix != ".json":
         raw = _parse_yaml(text, f"cannot parse config {path}")
     else:

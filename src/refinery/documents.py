@@ -6,9 +6,10 @@ keys ``url``, ``collection``, ``seg_langs``, ``wds``, ``register``. Unknown
 keys are kept verbatim in ``extras`` so richer upstream schemas round-trip
 losslessly. Files ending in ``.zst`` are Zstandard-compressed.
 
-A segment is a trimmed, non-empty line of the text. ``Document.segments``
-is the one place that segments a text: it does so once per document, and
-``Document.replace`` hands the result on while the text stays the same.
+A segment is a trimmed, non-empty line of the text, held as a ``str``;
+readers count its tokens where they need them. ``Document.segments`` is
+the one place that segments a text: it does so once per document, and
+``Document.replace`` hands the tuple on while the text stays the same.
 """
 
 from __future__ import annotations
@@ -45,16 +46,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class DocumentError(ValueError):
-    """Malformed or schema-violating document record."""
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One non-empty trimmed line of a document's text."""
-
-    index: int
-    text: str
-    token_count: int
+    """Malformed or schema-violating document record, or input that is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +89,9 @@ class Document:
                 )
 
     @cached_property
-    def segments(self) -> tuple[Segment, ...]:
+    def segments(self) -> tuple[str, ...]:
         """The text's segments, computed on first use and then kept."""
-        return tuple(segment_text(self.text))
+        return segment_text(self.text)
 
     def replace(self, **changes: Any) -> "Document":
         """A validated copy with ``changes`` applied; it keeps the computed
@@ -132,10 +124,9 @@ def _segment_lines(text: str) -> Iterator[str]:
             yield line
 
 
-def segment_text(text: str) -> list[Segment]:
-    """Split into trimmed non-empty lines with consecutive indices."""
-    lines = enumerate(_segment_lines(text))
-    return [Segment(i, line, len(line.split())) for i, line in lines]
+def segment_text(text: str) -> tuple[str, ...]:
+    """The text's segments in order."""
+    return tuple(_segment_lines(text))
 
 
 def parse_document_line(line: str) -> Document:
@@ -255,15 +246,23 @@ class Corpus:
         return iter(self.documents)
 
 
-def _parse_jsonl(data: bytes, path: Path) -> list[Document]:
-    """Decode and parse JSONL bytes; every error names ``path`` and the line."""
+def read_utf8(path: str | Path, data: bytes | None = None) -> str:
+    """The text of ``path``, or of ``data`` read from it; bytes that are not
+    UTF-8 raise a DocumentError naming the path, the line and the byte offset."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DocumentError(
             f"{path}:{lineno}: not valid UTF-8 (byte offset {exc.start}: {exc.reason})"
         ) from exc
+
+
+def _parse_jsonl(data: bytes, path: Path) -> list[Document]:
+    """Decode and parse JSONL bytes; every error names ``path`` and the line."""
+    text = read_utf8(path, data)
     docs = []
     # Split on \n only: JSON strings may contain U+2028/U+2029, which
     # str.splitlines would treat as record separators.

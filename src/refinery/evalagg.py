@@ -21,6 +21,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .documents import read_utf8
+
 Cell = tuple[str, str, str, int]  # (model, task, prompt, checkpoint_tokens)
 
 
@@ -445,7 +447,7 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
     Score rows carry model, task, prompt, checkpoint_tokens, score.
     """
     try:
-        meta_raw = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+        meta_raw = json.loads(read_utf8(meta_path))
     except json.JSONDecodeError as exc:
         raise GridError(f"{meta_path}: malformed JSON: {exc}") from exc
     if not isinstance(meta_raw, dict):
@@ -500,6 +502,14 @@ def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
 
 def _score_rows(path: Path) -> Iterator[tuple[int, object]]:
     """Each score row with its 1-based line number (a CSV row's last line)."""
+    try:
+        yield from _parse_score_rows(path)
+    except UnicodeDecodeError:
+        read_utf8(path)  # raises, naming the line and the byte offset
+        raise
+
+
+def _parse_score_rows(path: Path) -> Iterator[tuple[int, object]]:
     with path.open(newline="", encoding="utf-8") as fh:
         if path.suffix == ".csv":
             reader = csv.DictReader(fh)

@@ -212,7 +212,7 @@ def in_language_share(seg_langs: Sequence[str], lang: str) -> float:
 
 def profile_segments(doc: Document, model: LanguageClassifier) -> SegmentProfile:
     """Classify each segment independently and measure the in-language share."""
-    labels = tuple(classify(seg.text, model).label for seg in doc.segments)
+    labels = tuple(classify(seg, model).label for seg in doc.segments)
     return SegmentProfile(labels, in_language_share(labels, doc.lang))
 
 

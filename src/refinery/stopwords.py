@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .documents import read_utf8
+
 _LISTS: dict[str, frozenset[str]] = {
     "eng": frozenset(
         """the a an and or but of to in on at for with by from as is are was
@@ -93,7 +95,7 @@ def get_stopwords(lang_code: str) -> frozenset[str]:
 
 def load_stopword_file(path: str | Path) -> frozenset[str]:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())

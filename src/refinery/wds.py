@@ -104,12 +104,8 @@ def compute_subsignals(doc: Document) -> dict[str, float]:
     segments = doc.segments
     tokens = doc.text.split()
     non_letter_ratio, digit_ratio = _char_ratios(doc.text)
-    if segments:
-        repeated = 1.0 - len({s.text for s in segments}) / len(segments)
-        avg_segment_tokens = sum(s.token_count for s in segments) / len(segments)
-    else:
-        repeated = 0.0
-        avg_segment_tokens = 0.0
+    repeated = 1.0 - len(set(segments)) / len(segments) if segments else 0.0
+    avg_segment_tokens = len(tokens) / len(segments) if segments else 0.0
     url_count = sum(1 for t in tokens if t.lower().startswith(_URL_PREFIXES))
     url_density = 100.0 * url_count / len(tokens) if tokens else 0.0
     return {
@@ -149,8 +145,7 @@ def score_document(
     subsignals = compute_subsignals(doc)
     if not doc.segments:
         return WdsReport(0.0, 0.0, 0.0, subsignals, 0.0, 0)
-    # Segments are the text's lines, so their tokens are the text's tokens.
-    length = _length_score(sum(s.token_count for s in doc.segments), config)
+    length = _length_score(len(doc.text.split()), config)
     penalty = _oddity_penalty(subsignals, config)
     score = 10.0 * seg_profile * length * (1.0 - penalty)
     return WdsReport(seg_profile, length, penalty, subsignals, score, wds_level(score))

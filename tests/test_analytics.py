@@ -77,7 +77,7 @@ class TestUniqueSegments:
         for _ in range(20):
             corpus = make_corpus(rng, rng.randint(1, 50))
             segs = [
-                s.text for d in corpus for s in segment_text(d.text)
+                s for d in corpus for s in segment_text(d.text)
             ]
             expected = len(set(segs)) / len(segs) if segs else 0.0
             assert unique_segment_ratio(corpus) == expected
@@ -105,7 +105,7 @@ class TestLengthProfiles:
                 1 for d in corpus if len(segment_text(d.text)) > 25
             )
             segs = [s for d in corpus for s in segment_text(d.text)]
-            n_short = sum(1 for s in segs if s.token_count < 3)
+            n_short = sum(1 for s in segs if len(s.split()) < 3)
             assert large == n_large / len(corpus)
             assert short == (n_short / len(segs) if segs else 0.0)
 
@@ -149,7 +149,7 @@ def _brute_force_ngrams(corpus, stopwords, order):
     counter = Counter()
     for doc in corpus:
         for seg in segment_text(doc.text):
-            tokens = [t.lower() for t in seg.text.split()]
+            tokens = [t.lower() for t in seg.split()]
             for i in range(len(tokens)):
                 gram = tokens[i : i + order]
                 if len(gram) < order:

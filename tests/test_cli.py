@@ -514,6 +514,40 @@ def test_bad_task_meta_exits_1_with_one_line(tmp_path, capsys, text, expected):
     assert f"{tmp_path / expected}" in err
 
 
+@pytest.mark.parametrize(
+    "stage, name, code",
+    [("eval-agg", "cfg.yaml", 2), ("analyze", "stops.txt", 1), ("eval-agg", "scores.jsonl", 1),
+     ("eval-agg", "scores.csv", 1), ("eval-agg", "tasks.json", 1)],
+    ids=["config", "stopwords", "scores-jsonl", "scores-csv", "task-meta"],
+)
+def test_input_file_not_utf8_exits_with_one_line_naming_it(tmp_path, capsys, stage, name, code):
+    scores = "scores.csv" if name == "scores.csv" else "scores.jsonl"
+    files = {
+        "cfg.yaml": json.dumps({
+            "input": "corpus.jsonl", "output_root": "out", "language": "aaa_Latn",
+            "analytics": {"stopword_file": "stops.txt"},
+            "eval_agg": {"scores": scores, "task_meta": "tasks.json"},
+        }) + "\n",
+        "corpus.jsonl": '{"id":"a","lang":"aaa_Latn","text":"x"}\n',
+        "stops.txt": "# frequent words\nthe\n",
+        "tasks.json": json.dumps({"t": {"random_baseline": 0.25, "max_score": 1.0,
+                                        "category": "c", "language": "l"}}) + "\n",
+        # Enough rows that the bad byte lies past the score reader's first buffer.
+        "scores.jsonl": "".join(json.dumps({"model": "m", "task": "t", "prompt": "p",
+                                            "checkpoint_tokens": i, "score": 0.5}) + "\n"
+                                for i in range(200)),
+        "scores.csv": _GRID_HEADER + "".join(f"m,t,p,{i},0.5\n" for i in range(1000)),
+    }
+    for file, text in files.items():
+        (tmp_path / file).write_bytes(text.encode() + (b"caf\xe9\n" if file == name else b""))
+    assert main([stage, "--config", str(tmp_path / "cfg.yaml")]) == code
+    valid = files[name]
+    where = (f"{tmp_path / name}:{valid.count(chr(10)) + 1}: not valid UTF-8 "
+             f"(byte offset {len(valid.encode()) + 3}: invalid continuation byte)")
+    prefix = "config error" if code == 2 else f"{stage} failed"
+    assert capsys.readouterr().err == f"refinery: {prefix}: {where}\n"
+
+
 def _lid_config(tmp_path, input_name, **lid):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -566,7 +600,7 @@ def test_classifier_without_labels_exits_1_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "seed, expected",
-    [(b"caf\xe9 ol\xe9\n", "{seed}: not valid UTF-8 (byte offset 3: invalid continuation byte)"),
+    [(b"caf\xe9 ol\xe9\n", "{seed}:1: not valid UTF-8 (byte offset 3: invalid continuation byte)"),
      (b"123 456\n", "seed texts are empty after normalization")],
     ids=["latin-1", "digits-only"],
 )

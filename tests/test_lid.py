@@ -252,7 +252,7 @@ def test_exact_tie_goes_to_larger_label():
 
 
 def _segment_normals(texts: list[str]) -> list[list[str]]:
-    return [[normalize_for_lid(seg.text) for seg in Document(id="d", lang="x", text=t).segments]
+    return [[normalize_for_lid(seg) for seg in Document(id="d", lang="x", text=t).segments]
             for t in texts]
 
 
@@ -274,7 +274,7 @@ def _check_against_predict(model, texts: list[str], min_confidence: float) -> in
     for got, e in zip(predictions, expected):
         assert abs(got.confidence - e.confidence) <= 1e-9
     assert seg_labels == [
-        tuple(classify(seg.text, model).label
+        tuple(classify(seg, model).label
               for seg in Document(id="d", lang="x", text=t).segments)
         for t in texts
     ]

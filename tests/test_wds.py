@@ -144,10 +144,18 @@ class TestOddity:
             < score_document(_doc(distinct), 1.0).score
         )
 
-    def test_url_density_counted(self):
-        text = "see http://spam.example now " * 50  # 150 tokens, 50 urls
+    # The prefixes match case-insensitively, but only through str.lower:
+    # "ſ" (U+017F) is no "s", although re.IGNORECASE without re.ASCII says it is.
+    @pytest.mark.parametrize(
+        "url, counted",
+        [("http://spam.example", True), ("HTTP://x", True), ("Www.x", True),
+         ("http\u017f://x", False)],
+        ids=["plain", "upper-scheme", "mixed-www", "long-s"],
+    )
+    def test_url_density_counted(self, url, counted):
+        text = f"see {url} now " * 50  # 150 tokens, 50 urls
         signals = compute_subsignals(_doc(text))
-        assert signals["url_density"] == pytest.approx(100.0 * 50 / 150)
+        assert signals["url_density"] == pytest.approx(100.0 * 50 / 150 if counted else 0.0)
 
     def test_char_ratios_match_the_per_character_loop(self, rng):
         from refinery.wds import _char_ratios
