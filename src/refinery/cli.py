@@ -11,9 +11,9 @@ files; one runner writes ``documents.jsonl`` (lid, dedup, score),
 input once and hands documents from stage to stage in memory, writing the
 same files as separate runs chained through ``--input``. Every stage after
 lid checks that its input file is a corpus in ``language`` with unique ids.
-lid normalizes and scores every document and segment in one serial pass
-(``NgramLanguageClassifier.predict_documents``), and score labels the
-segments of documents without ``seg_langs`` through the same pass. lid's
+lid normalizes and scores every document and segment serially, in batches
+of whole documents (``NgramLanguageClassifier.predict_documents``), and
+score labels the segments of documents without ``seg_langs`` the same way. lid's
 ``report.json`` counts the documents it ``rejected`` and the texts whose
 verdict ``predict`` decided again (``exact_rescored``). Only dedup forks:
 ``parallel.pmap`` hands one range of documents to each worker process,

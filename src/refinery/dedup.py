@@ -102,6 +102,8 @@ class DedupParams:
             raise DedupConfigError("ngram_order must be >= 1")
         if self.signature_length < 1:
             raise DedupConfigError("signature_length must be >= 1")
+        if self.bands < 1 or self.rows < 1:
+            raise DedupConfigError("bands and rows must be >= 1")
         if self.bands * self.rows != self.signature_length:
             raise DedupConfigError(
                 f"bands*rows = {self.bands * self.rows} != "

@@ -2,14 +2,15 @@
 
 The normalizer lowercases, collapses whitespace, and strips digits and
 non-word characters, yielding text suitable for any character-based
-language classifier. ``normalize_for_lid`` defines it for one text;
-``normalize_many`` gives the same result for many texts, lowercasing each
-on its own and mapping the characters of about ``_BLOCK_CHARS`` of them at
-once through an array over code points (``str.translate`` with a dict
-costs about 100 ns per character of accented text). The built-in fallback
-classifier is a character n-gram multinomial scorer trained on seed text
-per language, so the whole pipeline runs offline; an external model can
-replace it by implementing the two-method contract below.
+language classifier. It maps characters through one array over code
+points, filled from ``unicodedata`` on first sight, so that it works on
+many texts at once (``str.translate`` with a dict costs about 100 ns per
+character of accented text): ``normalize_many`` normalizes about
+``_BLOCK_CHARS`` characters of texts per step, lowercasing each text on
+its own, and ``normalize_for_lid`` is its one-text case. The built-in
+fallback classifier is a character n-gram multinomial scorer trained on
+seed text per language, so the whole pipeline runs offline; an external
+model can replace it by implementing the two-method contract below.
 
 The built-in scorer keeps its log-probabilities as one dense matrix with a
 row per known n-gram and a column per label, plus a last row of unseen-gram
@@ -17,21 +18,22 @@ fallbacks: a prediction is one n-gram extraction and one gather over that
 matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
 
 ``predict_documents`` scores whole corpora: every document (its normalized
-segments joined by spaces) and every segment in one pass. It normalizes
-the segments itself, so no caller can hand it the U+0000 and U+0001 that
-mark where documents and segments end in its stream. Each order-n
-window packs its code points into a ``uint64`` key, 21 bits each, and an
-open-addressing hash table over the model's keys (``_KeyTable``) finds its
-matrix row; one ``np.bincount`` per label sums the rows by document and
-another by segment. The text is cut into blocks of ``_BLOCK_CHARS`` window
-starts, each carrying the next (max order - 1) characters, so memory stays
-a few MB whatever the corpus or document size. Those sums add the terms in
-another order than ``predict``, so each text gets a bound on the
-difference (``_rounding_bound``): n terms of at most M in magnitude,
-added in any order, land within n * n * M * 2**-53 of the exact sum. A
-text whose top-two gap, or whose confidence's distance to
-``min_confidence``, is within the bound is decided again by ``predict``,
-so labels and rejections equal ``predict``'s.
+segments joined by spaces) and every segment. It reads whole documents
+into batches of about ``_BATCH_CHARS`` characters and normalizes each
+batch's segments itself, so no caller can hand it the U+0000 and U+0001
+that mark where documents and segments end in a batch's stream. Each
+order-n window packs its code points into a ``uint64`` key, 21 bits each,
+and an open-addressing hash table over the model's keys (``_KeyTable``)
+finds its matrix row; one ``np.bincount`` per label sums the rows by
+document and another by segment. The stream is cut into blocks of
+``_BLOCK_CHARS`` window starts, each carrying the next (max order - 1)
+characters, so the kernel's memory stays a few MB whatever the document
+size. Those sums add the terms in another order than ``predict``, so each
+text gets a bound on the difference (``_rounding_bound``): n terms of at
+most M in magnitude, added in any order, land within n * n * M * 2**-53
+of the exact sum. A text whose top-two gap, or whose confidence's
+distance to ``min_confidence``, is within the bound is decided again by
+``predict``, so labels and rejections equal ``predict``'s.
 """
 
 from __future__ import annotations
@@ -40,18 +42,18 @@ import json
 import math
 import sys
 import unicodedata
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 # Document.segments is segment_text's one caller; the name stays bound here
 # because the benchmark's tracer test expects it in this module.
-from .documents import Document, segment_text, write_atomic  # noqa: F401
+from .documents import Document, DocumentError, read_utf8, segment_text, write_atomic  # noqa: F401
 
 # Word characters are letters and combining marks. Uppercase and titlecase
 # survivors of the lowercasing step (letters with no lowercase mapping,
@@ -59,10 +61,13 @@ from .documents import Document, segment_text, write_atomic  # noqa: F401
 # characters so the output is uppercase-free by construction.
 _KEEP_CATEGORIES = frozenset({"Ll", "Lm", "Lo", "Mn", "Mc", "Me"})
 
-# Window starts per block of predict_documents, and characters per block of
-# normalize_many: the kernel's arrays take a few hundred bytes per start, so
-# a block's transient memory stays a few MB.
+# Window starts per block of predict_documents' kernel, and characters per
+# block of normalize_many: the kernel's arrays take a few hundred bytes per
+# start, so a block's transient memory stays a few MB.
 _BLOCK_CHARS = 1 << 14
+# Segment characters per batch of predict_documents: a batch ends with the
+# document that brings it to this size, so a larger document is one batch.
+_BATCH_CHARS = 4 * _BLOCK_CHARS
 # Bits per code point in a packed gram key; code points are below 2**21,
 # so a uint64 key holds a gram of up to _KEY_ORDER of them.
 _KEY_BITS = 21
@@ -87,24 +92,10 @@ class LangPrediction:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-class _WordCharTable(dict):
-    """``str.translate`` table, filled on first sight of each code point:
-    word characters map to themselves, every other character to a space."""
-
-    def __missing__(self, code_point: int) -> str:
-        ch = chr(code_point)
-        mapped = ch if unicodedata.category(ch) in _KEEP_CATEGORIES else " "
-        self[code_point] = mapped
-        return mapped
-
-
-_WORD_CHARS = _WordCharTable()
-
-
 class _WordCodePoints:
-    """``_WORD_CHARS`` as an array over code points, for numpy: word
-    characters map to themselves, every other character to a space. It
-    grows to the largest code point seen and fills each on first sight."""
+    """An array over code points, for numpy: word characters map to
+    themselves, every other character to a space. It grows to the largest
+    code point seen and fills each on first sight."""
 
     def __init__(self) -> None:
         # 0 marks a code point not yet seen: no code point maps to U+0000.
@@ -120,7 +111,8 @@ class _WordCodePoints:
         mapped = self._table[code]
         if not mapped.all():
             for point in set(code[mapped == 0].tolist()):
-                self._table[point] = ord(_WORD_CHARS[point])
+                keep = unicodedata.category(chr(point)) in _KEEP_CATEGORIES
+                self._table[point] = point if keep else ord(" ")
             mapped = self._table[code]
         return mapped
 
@@ -128,43 +120,50 @@ class _WordCodePoints:
 _WORD_CODE_POINTS = _WordCodePoints()
 
 
+def _batches(items: Iterable, size: int, length: Callable) -> Iterator[list]:
+    """``items`` in order, in lists that end with the item bringing their
+    total ``length`` to ``size`` (the last list may hold less)."""
+    batch: list = []
+    total = 0
+    for item in items:
+        batch.append(item)
+        total += length(item)
+        if total >= size:
+            yield batch
+            batch, total = [], 0
+    if batch:
+        yield batch
+
+
 def normalize_for_lid(text: str) -> str:
     """Normalize text for language identification.
 
-    Applies, in order: whitespace-run collapsing, lowercasing, replacement
-    of digits and non-word characters by spaces, and a final whitespace
-    pass with trimming. Idempotent.
+    Lowercases the text, replaces digits and non-word characters by spaces,
+    and collapses every whitespace run to one space, trimmed at both ends:
+    the same as collapsing whitespace before lowercasing. Idempotent.
     """
-    collapsed = " ".join(text.split())
-    kept = collapsed.lower().translate(_WORD_CHARS)
-    return " ".join(kept.split())
+    return next(_normalize_block([text.lower()]))
 
 
 def normalize_many(texts: Iterable[str]) -> Iterator[str]:
     """``normalize_for_lid`` of each of ``texts``, in order.
 
     Texts are read and normalized in blocks of at least ``_BLOCK_CHARS``
-    characters (or the rest). Each text is lowercased on its own, so that
-    a final sigma or an expanding ``İ`` lowers as it does alone; each block
-    is then mapped at once, every character but a word character becoming
-    a space, and each text's whitespace is collapsed. Whitespace is neither
-    cased nor case-ignorable, so collapsing it after lowercasing, not
-    before as ``normalize_for_lid`` does, changes nothing.
+    characters (or the rest).
     """
-    block: list[str] = []
-    size = 0
-    for text in texts:
-        block.append(text.lower())
-        size += len(block[-1])
-        if size >= _BLOCK_CHARS:
-            yield from _normalize_block(block)
-            block, size = [], 0
-    yield from _normalize_block(block)
+    for block in _batches(texts, _BLOCK_CHARS, len):
+        yield from _normalize_block([text.lower() for text in block])
 
 
 def _normalize_block(lowered: list[str]) -> Iterator[str]:
+    """The normal form of each of ``lowered``, texts lowercased each on its
+    own, so that a final sigma or an expanding ``İ`` lowers as it does
+    alone. The block is mapped at once, every character but a word
+    character becoming a space, and each text's whitespace is collapsed.
+    Whitespace is neither cased nor case-ignorable, so collapsing it after
+    lowercasing, not before, changes nothing."""
     # With surrogatepass a lone surrogate is a code point like any other,
-    # and no word character, as it is to str.translate.
+    # and no word character.
     code = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"),
                          dtype=np.uint32)
     joined = _WORD_CODE_POINTS.map(code).tobytes().decode("utf-32-le")
@@ -250,27 +249,6 @@ def _rounding_bound(windows: np.ndarray, magnitude: float) -> np.ndarray:
     return (windows + 1) * windows * magnitude * 2.0**-51
 
 
-def _blocks(parts: Iterable[str], size: int, overlap: int) -> Iterator[tuple[str, int]]:
-    """Cut the concatenation of ``parts`` into blocks, each owning the window
-    starts at its first ``size`` characters (the last block's may be fewer)
-    and holding ``overlap`` characters more, so that every window of up to
-    ``overlap + 1`` characters lies inside the block that owns its start."""
-    held: list[str] = []
-    count = 0
-    for part in parts:
-        held.append(part)
-        count += len(part)
-        if count >= size + overlap:
-            text, start = "".join(held), 0
-            while len(text) - start >= size + overlap:
-                yield text[start:start + size + overlap], size
-                start += size
-            held, count = [text[start:]], len(text) - start
-    text = "".join(held)
-    for start in range(0, len(text), size):
-        yield text[start:start + size + overlap], min(size, len(text) - start)
-
-
 class _KeyTable:
     """An open-addressing hash table from distinct packed gram keys (below
     2**63, so none is ``_FREE``) to integer values.
@@ -337,6 +315,9 @@ class NgramLanguageClassifier:
     ):
         if not log_probs:
             raise ClassifierError("model has no labels")
+        if not orders or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
+                                 for n in orders):
+            raise ClassifierError(f"orders must be positive integers, not {list(orders)!r}")
         self._log_probs = log_probs
         self._fallback = fallback_log_probs
         self._orders = orders
@@ -408,77 +389,37 @@ class NgramLanguageClassifier:
     def predict_documents(
         self, segments: Iterable[Sequence[str]], min_confidence: float
     ) -> Iterator[tuple[LangPrediction, tuple[str, ...], int]]:
-        """Predict every document and label every segment in one pass.
+        """Predict every document and label every segment.
 
         Each item of ``segments`` holds one document's segment texts, which
         the pass normalizes (``normalize_many``); the document's normalized
-        text is its non-empty normalized segments joined by one space. Items
-        are read as the pass reaches them. Yields, per document in order,
-        its prediction, its segment labels ("und" for an empty segment) and
-        how many of its texts ``predict`` decided again. Every label, and
-        whether a document's confidence is below ``min_confidence``, equals
-        ``predict``'s on the same text; a confidence may differ from
-        ``predict``'s in its last bits.
+        text is its non-empty normalized segments joined by one space.
+        Items are read in batches of whole documents, each ending with the
+        document that brings its segments to ``_BATCH_CHARS`` characters.
+        Yields, per document in order, its prediction, its segment labels
+        ("und" for an empty segment) and how many of its texts ``predict``
+        decided again. Every label, and whether a document's confidence is
+        below ``min_confidence``, equals ``predict``'s on the same text; a
+        confidence may differ from ``predict``'s in its last bits.
         """
-        # One normalize_many over every segment, read a block ahead of the pass.
-        ahead, behind = tee(segments)
-        normals = normalize_many(seg for segs in ahead for seg in segs)
-        segments = ([next(normals) for _ in segs] for segs in behind)
-        if max(self._orders, default=1) > _KEY_ORDER:
-            # Keys cannot hold these grams: predict decides every text.
-            for segs in segments:
-                text = " ".join(seg for seg in segs if seg)
-                labels = tuple(self.predict(seg).label for seg in segs)
-                yield self.predict(text), labels, bool(text) + sum(map(bool, segs))
-            return
-
-        # Documents and pieces (non-empty segments) the pass has read and not
-        # yet decided, and the labels of decided pieces whose document is not.
-        docs: deque[tuple[Sequence[str], list[str]]] = deque()
-        pieces: deque[str] = deque()
-        piece_labels: deque[tuple[str, bool]] = deque()
-
-        def stream() -> Iterator[str]:
-            for segs in segments:
-                text = [seg for seg in segs if seg]
-                docs.append((segs, text))
-                pieces.extend(text)
-                if text:
-                    yield "\x01".join(text) + "\x00"
-
-        def document(
-            segs: Sequence[str], prediction: LangPrediction, redone: int
-        ) -> tuple[LangPrediction, tuple[str, ...], int]:
-            labelled = [piece_labels.popleft() if seg else ("und", False) for seg in segs]
-            redone += sum(again for _, again in labelled)
-            return prediction, tuple(label for label, _ in labelled), redone
-
-        labels = self._labels
-        nothing = LangPrediction("und", 0.0)
-        for doc_sums, piece_sums in self._block_sums(stream()):
-            done = [pieces.popleft() for _ in range(len(piece_sums))]
-            best, _, again = self._settle(piece_sums, [len(p) for p in done], None)
-            piece_labels.extend((self.predict(piece).label, True) if redo else (labels[i], False)
-                                for piece, i, redo in zip(done, best.tolist(), again.tolist()))
-            ended, count = [], len(doc_sums)
-            while count:
-                ended.append(docs.popleft())
-                count -= bool(ended[-1][1])
-            best, conf, again = self._settle(
-                doc_sums, [sum(map(len, text)) + len(text) - 1 for _, text in ended if text],
-                min_confidence)
-            verdicts = zip(best.tolist(), conf.tolist(), again.tolist())
-            for segs, text in ended:
-                if not text:
-                    yield document(segs, nothing, 0)
-                    continue
-                i, confidence, redo = next(verdicts)
-                if redo:
-                    yield document(segs, self.predict(" ".join(text)), 1)
-                else:
-                    yield document(segs, LangPrediction(labels[i], confidence), 0)
-        for segs, _ in docs:  # documents without text after the last one with text
-            yield document(segs, nothing, 0)
+        nothing = ("und", 0.0, False)
+        for batch in _batches(segments, _BATCH_CHARS, lambda segs: sum(map(len, segs))):
+            normals = normalize_many(seg for segs in batch for seg in segs)
+            docs = [[next(normals) for _ in segs] for segs in batch]
+            # Each document's pieces: its non-empty normalized segments.
+            texts = [[seg for seg in segs if seg] for segs in docs]
+            doc_sums = piece_sums = None
+            if max(self._orders) <= _KEY_ORDER:  # else keys cannot hold the grams
+                doc_sums, piece_sums = self._sums(
+                    "".join("\x01".join(text) + "\x00" for text in texts if text))
+            pieces = zip(*self._settle([p for text in texts for p in text], piece_sums, None))
+            documents = zip(*self._settle([" ".join(text) for text in texts if text], doc_sums,
+                                          min_confidence))
+            for segs, text in zip(docs, texts):
+                labelled = [next(pieces) if seg else nothing for seg in segs]
+                label, confidence, redone = next(documents) if text else nothing
+                yield (LangPrediction(label, confidence), tuple(lb for lb, _, _ in labelled),
+                       redone + sum(again for _, _, again in labelled))
 
     def _key_index(self) -> tuple[_KeyTable, np.ndarray, float]:
         """A table from the packed key of each known gram to its matrix row;
@@ -497,22 +438,29 @@ class NgramLanguageClassifier:
             )
         return self._index
 
-    def _block_sums(self, stream: Iterable[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per block of ``stream``, the score sums of the documents and of the
-        pieces that end in it, each a [texts, labels] array.
+    def _sums(self, stream: str) -> tuple[np.ndarray, np.ndarray]:
+        """The score sums of each document and of each piece of ``stream``,
+        each a [texts, labels] array.
 
         The stream gives each document as its pieces joined by U+0001 and
         followed by U+0000; neither character occurs in normalized text. A
         window belongs to a document if it holds no U+0000, and to a piece if
         it holds neither; the others are summed into a last, discarded bin.
-        The sums of the text open at a block's end carry over to the next.
+        The stream is summed a block of ``_BLOCK_CHARS`` window starts at a
+        time, and the sums of the text open at a block's end carry over to
+        the next.
         """
         table, columns, _ = self._key_index()
         unseen = len(self._rows)
-        top = max(self._orders, default=1)
-        carry_doc = np.zeros(len(self._labels))
-        carry_piece = np.zeros(len(self._labels))
-        for block, owned in _blocks(stream, _BLOCK_CHARS, top - 1):
+        top = max(self._orders)
+        ends = stream.count("\x00")
+        # One bin past the last text: the open text after the stream's end.
+        doc_sums = np.zeros((len(columns), ends + 1))
+        piece_sums = np.zeros((len(columns), ends + stream.count("\x01") + 1))
+        first_doc = first_piece = 0
+        for start in range(0, len(stream), _BLOCK_CHARS):
+            block = stream[start:start + _BLOCK_CHARS + top - 1]
+            owned = min(_BLOCK_CHARS, len(stream) - start)
             code = np.frombuffer(block.encode("utf-32-le"), dtype=np.uint32)
             # Documents and pieces begun before each position.
             doc_of = np.zeros(len(code) + 1, dtype=np.intp)
@@ -520,8 +468,8 @@ class NgramLanguageClassifier:
             piece_of = np.zeros(len(code) + 1, dtype=np.intp)
             np.cumsum(code <= 1, out=piece_of[1:])
             open_doc, open_piece = doc_of[owned], piece_of[owned]
-            doc_sums = np.zeros((len(columns), open_doc + 2))
-            piece_sums = np.zeros((len(columns), open_piece + 2))
+            block_docs = np.zeros((len(columns), open_doc + 2))
+            block_pieces = np.zeros((len(columns), open_piece + 2))
             chars = code.astype(np.uint64)
             chars[code == 1] = ord(" ")
             key = chars
@@ -534,39 +482,50 @@ class NgramLanguageClassifier:
                                      open_piece + 1)
                 at = table.get(key[:m], unseen)
                 for _ in range(self._orders.count(n)):
-                    for column, doc_row, piece_row in zip(columns, doc_sums, piece_sums):
+                    for column, doc_row, piece_row in zip(columns, block_docs, block_pieces):
                         terms = column[at]
                         doc_row += np.bincount(doc_bin, terms, open_doc + 2)
                         piece_row += np.bincount(piece_bin, terms, open_piece + 2)
-            doc_sums[:, 0] += carry_doc
-            piece_sums[:, 0] += carry_piece
-            carry_doc = doc_sums[:, open_doc].copy()
-            carry_piece = piece_sums[:, open_piece].copy()
-            yield doc_sums[:, :open_doc].T, piece_sums[:, :open_piece].T
+            # The open text's bin holds its sums from earlier blocks, every
+            # later bin zero.
+            doc_sums[:, first_doc:first_doc + open_doc + 1] += block_docs[:, :-1]
+            piece_sums[:, first_piece:first_piece + open_piece + 1] += block_pieces[:, :-1]
+            first_doc += open_doc
+            first_piece += open_piece
+        return doc_sums[:, :-1].T, piece_sums[:, :-1].T
 
     def _settle(
-        self, sums: np.ndarray, lengths: list[int], min_confidence: float | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each text's best label index and confidence from its score sums,
-        and whether ``predict`` must decide it again: its top-two gap, or
-        with ``min_confidence`` its confidence's distance to that, is within
-        the rounding bound. A tie is within any bound, so ``predict``'s tie
-        rule decides it."""
-        n_labels = sums.shape[1]
-        best = np.argmax(sums, axis=1)
-        peak = sums.max(axis=1)
-        runner_up = (np.partition(sums, n_labels - 2, axis=1)[:, n_labels - 2]
-                     if n_labels > 1 else np.full(len(sums), -np.inf))
-        chars = np.array(lengths, dtype=np.float64)
-        windows = sum(np.maximum(chars - (n - 1), 0) for n in self._orders)
-        bound = _rounding_bound(windows, self._key_index()[2])
-        conf = 1.0 / np.exp(sums - peak[:, None]).sum(axis=1)
-        # Written as "not clear of" so that a NaN sends the text to predict.
-        again = ~(peak - runner_up > 2 * bound)
-        if min_confidence is not None:
-            slack = conf * (5 * bound + (n_labels + 2) * 2.0**-50)
-            again |= ~(np.abs(conf - min_confidence) > slack)
-        return best, conf, again
+        self, texts: list[str], sums: np.ndarray | None, min_confidence: float | None
+    ) -> tuple[list[str], list[float], list[bool]]:
+        """Each text's label and confidence from its score ``sums``, and
+        whether ``predict`` decided it again: with no sums, or when its
+        top-two gap, or with ``min_confidence`` its confidence's distance to
+        that, is within the rounding bound. A tie is within any bound, so
+        ``predict``'s tie rule decides it."""
+        if sums is None:
+            best, conf = np.zeros(len(texts), dtype=np.intp), np.zeros(len(texts))
+            again = np.ones(len(texts), dtype=bool)
+        else:
+            n_labels = sums.shape[1]
+            best = np.argmax(sums, axis=1)
+            peak = sums.max(axis=1)
+            runner_up = (np.partition(sums, n_labels - 2, axis=1)[:, n_labels - 2]
+                         if n_labels > 1 else np.full(len(sums), -np.inf))
+            chars = np.array([len(text) for text in texts], dtype=np.float64)
+            windows = sum(np.maximum(chars - (n - 1), 0) for n in self._orders)
+            bound = _rounding_bound(windows, self._key_index()[2])
+            conf = 1.0 / np.exp(sums - peak[:, None]).sum(axis=1)
+            # Written as "not clear of" so that a NaN sends the text to predict.
+            again = ~(peak - runner_up > 2 * bound)
+            if min_confidence is not None:
+                slack = conf * (5 * bound + (n_labels + 2) * 2.0**-50)
+                again |= ~(np.abs(conf - min_confidence) > slack)
+        labels = [self._labels[i] for i in best.tolist()]
+        confidences = conf.tolist()
+        for i in np.flatnonzero(again).tolist():
+            prediction = self.predict(texts[i])
+            labels[i], confidences[i] = prediction.label, prediction.confidence
+        return labels, confidences, again.tolist()
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -579,12 +538,14 @@ class NgramLanguageClassifier:
     @classmethod
     def load(cls, path: str | Path) -> "NgramLanguageClassifier":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(read_utf8(path))
             return cls(
                 payload["log_probs"],
                 payload["fallback_log_probs"],
                 tuple(payload["orders"]),
             )
+        except DocumentError as exc:
+            raise ClassifierError(str(exc)) from exc
         except (ClassifierError, OSError, KeyError, ValueError, TypeError,
                 AttributeError) as exc:
             raise ClassifierError(f"cannot load classifier from {path}: {exc}") from exc

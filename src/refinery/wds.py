@@ -100,9 +100,12 @@ def _char_ratios(text: str) -> tuple[float, float]:
     return (non_space - classes.count("L")) / non_space, classes.count("D") / non_space
 
 
-def compute_subsignals(doc: Document) -> dict[str, float]:
+def compute_subsignals(doc: Document, tokens: list[str] | None = None) -> dict[str, float]:
+    """The document's oddity subsignals; ``tokens`` is ``doc.text.split()``,
+    split here when not given."""
     segments = doc.segments
-    tokens = doc.text.split()
+    if tokens is None:
+        tokens = doc.text.split()
     non_letter_ratio, digit_ratio = _char_ratios(doc.text)
     repeated = 1.0 - len(set(segments)) / len(segments) if segments else 0.0
     avg_segment_tokens = len(tokens) / len(segments) if segments else 0.0
@@ -142,10 +145,11 @@ def score_document(
     config = config or WdsConfig()
     if not 0.0 <= seg_profile <= 1.0:
         raise ValueError(f"seg_profile {seg_profile} outside [0, 1]")
-    subsignals = compute_subsignals(doc)
+    tokens = doc.text.split()
+    subsignals = compute_subsignals(doc, tokens)
     if not doc.segments:
         return WdsReport(0.0, 0.0, 0.0, subsignals, 0.0, 0)
-    length = _length_score(len(doc.text.split()), config)
+    length = _length_score(len(tokens), config)
     penalty = _oddity_penalty(subsignals, config)
     score = 10.0 * seg_profile * length * (1.0 - penalty)
     return WdsReport(seg_profile, length, penalty, subsignals, score, wds_level(score))

@@ -517,8 +517,8 @@ def test_bad_task_meta_exits_1_with_one_line(tmp_path, capsys, text, expected):
 @pytest.mark.parametrize(
     "stage, name, code",
     [("eval-agg", "cfg.yaml", 2), ("analyze", "stops.txt", 1), ("eval-agg", "scores.jsonl", 1),
-     ("eval-agg", "scores.csv", 1), ("eval-agg", "tasks.json", 1)],
-    ids=["config", "stopwords", "scores-jsonl", "scores-csv", "task-meta"],
+     ("eval-agg", "scores.csv", 1), ("eval-agg", "tasks.json", 1), ("lid", "model.json", 1)],
+    ids=["config", "stopwords", "scores-jsonl", "scores-csv", "task-meta", "classifier"],
 )
 def test_input_file_not_utf8_exits_with_one_line_naming_it(tmp_path, capsys, stage, name, code):
     scores = "scores.csv" if name == "scores.csv" else "scores.jsonl"
@@ -527,6 +527,7 @@ def test_input_file_not_utf8_exits_with_one_line_naming_it(tmp_path, capsys, sta
             "input": "corpus.jsonl", "output_root": "out", "language": "aaa_Latn",
             "analytics": {"stopword_file": "stops.txt"},
             "eval_agg": {"scores": scores, "task_meta": "tasks.json"},
+            "lid": {"classifier_path": "model.json"},
         }) + "\n",
         "corpus.jsonl": '{"id":"a","lang":"aaa_Latn","text":"x"}\n',
         "stops.txt": "# frequent words\nthe\n",
@@ -537,6 +538,8 @@ def test_input_file_not_utf8_exits_with_one_line_naming_it(tmp_path, capsys, sta
                                             "checkpoint_tokens": i, "score": 0.5}) + "\n"
                                 for i in range(200)),
         "scores.csv": _GRID_HEADER + "".join(f"m,t,p,{i},0.5\n" for i in range(1000)),
+        "model.json": json.dumps({"orders": [1], "log_probs": {"aaa_Latn": {"x": -1.0}},
+                                  "fallback_log_probs": {"aaa_Latn": -2.0}}) + "\n",
     }
     for file, text in files.items():
         (tmp_path / file).write_bytes(text.encode() + (b"caf\xe9\n" if file == name else b""))
@@ -596,6 +599,31 @@ def test_classifier_without_labels_exits_1_with_one_line(tmp_path, capsys):
         f"refinery: lid failed: cannot load classifier from {tmp_path / 'model.json'}: "
         "model has no labels\n"
     )
+
+
+@pytest.mark.parametrize("orders", [[0], [-1], [1.5], ["a"], [], [True]],
+                         ids=["zero", "negative", "float", "string", "empty", "bool"])
+def test_classifier_with_bad_orders_exits_1_with_one_line(tmp_path, capsys, orders):
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"log_probs": {"aaa_Latn": {"x": -1.0}}, "fallback_log_probs": {"aaa_Latn": -2.0},
+         "orders": orders}))
+    config = _lid_config(tmp_path, "corpus.jsonl", classifier_path="model.json")
+    assert main(["lid", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"refinery: lid failed: cannot load classifier from {tmp_path / 'model.json'}: "
+        f"orders must be positive integers, not {orders!r}\n"
+    )
+
+
+def test_negative_dedup_bands_and_rows_are_a_config_error(tmp_path, capsys):
+    config = _lid_config(tmp_path, "corpus.jsonl")
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    argv = ["dedup", "--config", str(config), "--set", "dedup.bands=-16",
+            "--set", "dedup.rows=-16"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "refinery: config error: dedup: bands and rows must be >= 1\n")
 
 
 @pytest.mark.parametrize(

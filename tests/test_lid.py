@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -323,16 +325,53 @@ def test_planted_confidence_is_decided_by_predict(three_alphabet_model, rng):
         assert rescored == 1  # the document; its one segment is far from a tie
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
-def test_documents_and_windows_straddle_blocks(three_alphabet_model, monkeypatch, block):
+# Block sizes, each with a batch size: documents straddle batches of one
+# document, of a few and (64) of the whole input, and windows straddle blocks.
+@pytest.mark.parametrize("block, batch", [(1, 50), (2, 1), (3, 120), (5, 400), (64, 1 << 16)],
+                         ids=["1", "2", "3", "5", "64"])
+def test_documents_and_windows_straddle_blocks(three_alphabet_model, monkeypatch, block, batch):
     model, _ = three_alphabet_model
     rng = random.Random(block)
     texts = ["".join(rng.choice(_MIXED_ALPHABET) for _ in range(rng.randint(0, 120)))
              for _ in range(25)] + ["", "\n\n", "!! 12", "a\n\nб\n7\nγ"]
     rng.shuffle(texts)
     monkeypatch.setattr(lid, "_BLOCK_CHARS", block)
+    monkeypatch.setattr(lid, "_BATCH_CHARS", batch)
     _check_against_predict(model, texts, 0.0)
     _check_against_predict(model, texts, 0.9)
+
+
+def test_predict_documents_reads_one_batch_ahead(three_alphabet_model):
+    model, _ = three_alphabet_model
+    read = []
+    documents = (read.append(i) or ["абв где", "", "déñ αβγ"] for i in range(10_000))
+    next(model.predict_documents(documents, 0.5))
+    # 14 characters of segments per document.
+    assert len(read) == math.ceil(lid._BATCH_CHARS / 14)
+
+
+def test_predict_documents_memory_on_one_long_document(three_alphabet_model):
+    model, _ = three_alphabet_model
+    rng = random.Random(3)
+    words = ["".join(rng.choice(_CYRILLIC) for _ in range(rng.randint(2, 8))) for _ in range(500)]
+    segments = [" ".join(rng.choices(words, k=10)) for _ in range(35_000)]
+    assert 1.9e6 < sum(map(len, segments)) < 2.1e6
+    size = sys.getsizeof(segments) + sum(map(sys.getsizeof, segments))
+    next(model.predict_documents([["абв"]], 0.0))  # builds the key table
+    # At min_confidence 0.0, as score runs the pass: above it, the rounding
+    # bound of a text this long sends it back to predict, which holds every
+    # n-gram of it.
+    tracemalloc.start()
+    try:
+        ((prediction, labels, rescored),) = model.predict_documents([segments], 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prediction.label == "cyr" and set(labels) == {"cyr"} and rescored == 0
+    # The normalized segments are a second copy of the text, the document's
+    # stream and its joined text hold its characters once more each, and the
+    # kernel's blocks take a few MB whatever the text's size.
+    assert peak < 3 * size, (peak, size)
 
 
 def _tied_model(delta: float) -> NgramLanguageClassifier:
