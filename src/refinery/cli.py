@@ -15,11 +15,10 @@ lid normalizes and scores every document and segment serially, in batches
 of whole documents (``NgramLanguageClassifier.predict_documents``), and
 score labels the segments of documents without ``seg_langs`` the same way. lid's
 ``report.json`` counts the documents it ``rejected`` and the texts whose
-verdict ``predict`` decided again (``exact_rescored``). Only dedup forks:
-``parallel.pmap`` hands one range of documents to each worker process,
-one per usable CPU and at most one per ``MIN_CHARS`` characters of text,
-and runs serially below two; its ``report.json`` gives ``workers``. There
-is no setting for it. Every file is written atomically (``write_atomic``).
+verdict ``predict`` decided again (``exact_rescored``). Every stage runs
+in one process: dedup signs its documents serially, in blocks, with a fast
+similarity sketch of about k ln k hash mixes per document. Every file is
+written atomically (``write_atomic``).
 REFINERY_LOG sets the log level.
 """
 
@@ -64,7 +63,6 @@ from .lid import (  # noqa: F401
     profile_segments,
 )
 from .packaging import package_corpus
-from .parallel import WorkerError
 from .stopwords import get_stopwords, load_stopword_file
 from .wds import filter_by_level, score_document
 
@@ -129,7 +127,6 @@ def stage_dedup(
     )
     write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
     counters = {
-        "workers": result.workers,
         "verified_pairs": result.verified_pairs,
         "largest_cluster": result.largest_cluster,
     }
@@ -380,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             run_stage(args.stage, config, base, input_path=args.input,
                       output_dir=args.output)
-    except (StageError, WorkerError, GridError, ConfigError, ValueError, OSError) as exc:
+    except (StageError, GridError, ConfigError, ValueError, OSError) as exc:
         print(f"refinery: {args.stage} failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -2,9 +2,9 @@
 
 Every section maps onto the owning module's parameter dataclass. One
 recursive `_build` checks each key against its dataclass field: unknown
-keys, missing required fields and values of the wrong type are rejected
-with the dotted key named, and referenced paths are checked at validation
-time.
+keys, missing required fields and values of the wrong type (NaN is not a
+number) are rejected with the dotted key named, and referenced paths are
+checked at validation time.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def _value(annotation: Any, value: Any, where: str) -> Any:
 
 
 def _is_a(value: Any, option: type) -> bool:
-    """An int is not a bool, and a float field also takes an int."""
+    """An int is not a bool, a float field also takes an int, and NaN is no number."""
     if isinstance(value, bool):
         return option is bool
-    return isinstance(value, (int, float) if option is float else option)
+    return isinstance(value, (int, float) if option is float else option) and value == value
 
 
 def _check_path(path: str | None, where: str, base: Path) -> None:
@@ -181,7 +181,7 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _check_range(value: int, where: str, low: int, high: int) -> None:
+def _check_range(value: float, where: str, low: float, high: float) -> None:
     if not low <= value <= high:
         raise ConfigError(f"{where}: must be in [{low}, {high}], got {value}")
 
@@ -214,6 +214,7 @@ def load_config(
     _apply_overrides(raw, overrides)
     config = _build(PipelineConfig, raw, "")
     _check_range(config.packaging.compression_level, "packaging.compression_level", 1, 22)
+    _check_range(config.lid.min_confidence, "lid.min_confidence", 0, 1)
     if config.wds.min_level is not None:
         _check_range(config.wds.min_level, "wds.min_level", 0, 10)
     if check_paths:

@@ -1,4 +1,4 @@
-"""MinHash near-deduplication on one ``uint64[N, k]`` signature matrix.
+"""Near-deduplication on one ``uint64[N, k]`` matrix of similarity sketches.
 
 Shingles. The tokens of a document are the whitespace-separated words of
 its LID-normalized text. Each distinct token is hashed once, through a
@@ -12,23 +12,23 @@ it is bound from CPython's ``_blake2``, the object ``hashlib.blake2b`` is,
 because importing ``hashlib`` maps OpenSSL's libcrypto (about 3.7 MB of
 RSS) for nothing else.
 
-Signatures use a splitmix64-style mixing family: component i is
-min over shingles x of mix64(x ^ r_i), with the r_i derived from the run
-seed. Each mix64(. ^ r_i) is a bijection of the 64-bit space with strong
-avalanche, so component agreement estimates Jaccard similarity the same
-way seeded permutations would, and everything vectorizes in uint64.
+Signatures are fast similarity sketches (Dahlgaard, Knudsen & Thorup,
+"Fast Similarity Sketching", FOCS 2017) of k components. In rounds
+r = 0, 1, ..., each shingle hash x gives z = mix64(x ^ s_r), with s_r
+derived from the seed and r, and offers the value r * 2^40 + (z >> 24) to
+component ((z mod 2^32) * k) >> 32, which keeps the least value offered.
+A document stops after the first round that leaves no component empty,
+as every later value is larger. Two sets agree in a component when the
+least value their union offers it comes from their intersection, so the
+share of agreeing components estimates Jaccard similarity as MinHash's
+does, at about k ln k mixes per document instead of k per shingle.
 
-Documents are shingled and signed in one ``parallel.pmap`` over ranges
-of their indices, in (collection, id) order, into one ``uint64[N, k]``
-matrix allocated beforehand in a shared anonymous mapping. Each range, in
-a forked worker or serially, normalizes its documents' texts in one
-``lid.normalize_many`` pass, writes the rows it signs in order from the
-row of its start and returns that start with the indices it signed; the
-parent then closes the gaps left by documents too short to shingle, chunk
-by chunk, so that no row is pickled or held twice. The normalized text is
-not kept on ``Document``, since normalizing in blocks costs little and a
-kept copy would hold memory across stages. LSH
-buckets the rows whose values in a band are identical (per crawl, within
+Rows are signed serially, in (collection, id) order, straight into one
+matrix, in blocks of about ``_SIGN_BLOCK`` shingles. Texts are normalized
+in blocks by ``lid.normalize_many`` and not kept on ``Document``, where
+they would hold memory across stages.
+
+LSH buckets the rows whose values in a band are identical (per crawl, within
 a collection). Each bucket member is verified against the components
 already in its bucket; a pair in one component is never verified and a
 failed pair is not verified twice, so the partition is that of verifying
@@ -41,7 +41,6 @@ corpora and oracle testing, verifies every pair through ``cluster``.
 
 from __future__ import annotations
 
-import mmap
 from _blake2 import blake2b
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -50,18 +49,19 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .documents import Corpus, Document
-from .lid import normalize_for_lid, normalize_many
-from .parallel import pmap
+from .lid import _batches, normalize_for_lid, normalize_many
 
 PairVerifier = Callable[[str, str], float]
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_NO_HASH = np.iinfo(np.uint64).max
-# Elements of the (shingle, seed) block that signing mixes at once, and of
-# the block of rows that closing the matrix's gaps moves at once.
-_SIGN_BLOCK = 1 << 16
+_LOW32 = np.uint64(0xFFFFFFFF)
+_NO_HASH = np.iinfo(np.uint64).max  # an empty component; no value reaches it
+# Shingles in a block of documents signed at once, and (round, shingle)
+# pairs mixed at once. 2**16 signed the 20k-document demo fixture some 20%
+# faster but raised the boilerplate benchmark's peak RSS by about 1 MB.
+_SIGN_BLOCK = 1 << 14
 
 
 class DedupConfigError(ValueError):
@@ -127,9 +127,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hash_seeds(k: int, seed: int) -> np.ndarray:
+def _round_seeds(seed: int, first: int, count: int) -> np.ndarray:
+    """s_r of the sketch's rounds ``first .. first + count - 1``."""
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GOLDEN_GAMMA
     return _mix64(base + steps)
 
 
@@ -157,16 +158,36 @@ def _shingle_hashes(normalized: str, n: int, vocab: _TokenHashes) -> np.ndarray:
     return _mix64(h)
 
 
-def _sign(hashes: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """MinHash row of a non-empty array of shingle hashes (repeats change
-    nothing): component i is the minimum of mix64(x ^ seeds[i]) over x,
-    mixed ``_SIGN_BLOCK`` (shingle, seed) pairs at a time."""
-    step = max(1, _SIGN_BLOCK // len(seeds))
-    mins = np.full(len(seeds), _NO_HASH, dtype=np.uint64)
-    for start in range(0, len(hashes), step):
-        block = _mix64(hashes[start : start + step, None] ^ seeds)
-        np.minimum(mins, block.min(axis=0), out=mins)
-    return mins
+def _sign(hashes: list[np.ndarray], seed: int, out: np.ndarray) -> None:
+    """Write the sketch of each non-empty array of shingle hashes (repeats
+    change nothing) into the rows of ``out``, a C-contiguous
+    ``uint64[len(hashes), k]``; see the module docstring. Rounds run in
+    batches of 1, 2, 4, ... over the documents not yet full, mixing at
+    most ``_SIGN_BLOCK`` (round, shingle) pairs at once."""
+    k = out.shape[1]
+    out.fill(_NO_HASH)
+    flat = out.reshape(-1)
+    x = np.concatenate(hashes)
+    lengths = np.array([len(h) for h in hashes])  # 0 for a full row
+    offset = np.repeat(np.arange(0, len(hashes) * k, k, dtype=np.uint64), lengths)
+    first, width = 0, 1
+    while len(x):
+        seeds = _round_seeds(seed, first, width)[:, None]
+        rounds = np.arange(first, first + width, dtype=np.uint64)[:, None] << np.uint64(40)
+        step = max(1, _SIGN_BLOCK // width)
+        for lo in range(0, len(x), step):
+            z = _mix64(x[lo : lo + step] ^ seeds)  # [round, shingle]
+            at = ((z & _LOW32) * np.uint64(k) >> np.uint64(32)) + offset[lo : lo + step]
+            z >>= np.uint64(24)
+            z += rounds
+            np.minimum.at(flat, at.ravel(), z.ravel())
+            del z, at
+        first += width
+        width = min(2 * width, _SIGN_BLOCK)
+        still_open = (out == _NO_HASH).any(axis=1)
+        keep = np.repeat(still_open, lengths)
+        lengths[~still_open] = 0
+        x, offset = x[keep], offset[keep]
 
 
 def shingle(doc: Document, n: int) -> ShingleSet:
@@ -185,15 +206,16 @@ def exact_jaccard(a: ShingleSet, b: ShingleSet) -> float:
 
 
 def signature(s: ShingleSet, k: int, seed: int) -> MinHashSignature:
-    """MinHash signature of a non-empty shingle set."""
+    """Fast similarity sketch of a non-empty shingle set."""
     if k < 1:
         raise DedupConfigError("signature length k must be >= 1")
     if not s.shingles:
         raise EmptyShingleSetError(
             "cannot sign an empty shingle set; exempt the document from dedup"
         )
-    x = np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))
-    return MinHashSignature(tuple(_sign(x, _hash_seeds(k, seed)).tolist()), k, seed)
+    row = np.empty((1, k), dtype=np.uint64)
+    _sign([np.fromiter(s.shingles, dtype=np.uint64, count=len(s.shingles))], seed, row)
+    return MinHashSignature(tuple(row[0].tolist()), k, seed)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -395,7 +417,6 @@ class DedupResult:
     removals: list[RemovalRecord] = field(default_factory=list)
     removed_docs: list[Document] = field(default_factory=list)
     clusters: DuplicateClusterSet | None = None
-    workers: int = 1  # processes that shingled and signed the documents
     verified_pairs: int = 0  # pairs whose similarity was computed
 
     @property
@@ -418,47 +439,26 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
     ranked = sorted(docs, key=Document.sort_key)  # rows go in (collection, id) order
     vocab = _TokenHashes()
     k = params.signature_length
-    seeds = _hash_seeds(k, params.seed)
+    signed: list[Document] = []
+    shingle_sets: list[ShingleSet] = []  # read only by exact verification
 
-    # Forked workers write their rows straight into this mapping, which is
-    # MAP_SHARED; a mapping may not be empty, so it holds at least one row.
-    rows = np.frombuffer(mmap.mmap(-1, max(len(ranked), 1) * k * 8), np.uint64,
-                         len(ranked) * k).reshape(len(ranked), k)
-
-    def sign(start: int, stop: int) -> tuple[int, list[int], list[ShingleSet]]:
-        """Sign which of ``ranked[start:stop]`` are long enough to shingle
-        into the rows from ``start`` on; ``start``, their indices, and their
-        shingle sets only when exact verification reads them."""
-        signed: list[int] = []
-        shingle_sets: list[ShingleSet] = []
-        texts = normalize_many(doc.text for doc in ranked[start:stop])
-        for i, text in enumerate(texts, start):
+    def shingled() -> Iterator[np.ndarray]:
+        for doc, text in zip(ranked, normalize_many(doc.text for doc in ranked)):
             hashes = _shingle_hashes(text, params.ngram_order, vocab)
-            if not len(hashes):
-                continue
-            rows[start + len(signed)] = _sign(hashes, seeds)
-            signed.append(i)
-            if params.exact_verification:
-                shingle_sets.append(ShingleSet(frozenset(hashes.tolist()), params.ngram_order))
-        return start, signed, shingle_sets
+            if len(hashes):
+                signed.append(doc)
+                if params.exact_verification:
+                    shingle_sets.append(ShingleSet(frozenset(hashes.tolist()), params.ngram_order))
+                yield hashes
 
-    chunks = pmap(sign, len(ranked), sum(len(doc.text) for doc in docs))
-    workers = len(chunks)
-    signed = [ranked[i] for chunk in chunks for i in chunk[1]]
+    # Rows of documents too short to shingle stay unused at the end.
+    matrix = np.empty((len(ranked), k), dtype=np.uint64)
+    at = 0
+    for block in _batches(shingled(), _SIGN_BLOCK, len):
+        _sign(block, params.seed, matrix[at : at + len(block)])
+        at += len(block)
+    matrix = matrix[:at]
     ids = [doc.id for doc in signed]
-    shingle_sets = [s for chunk in chunks for s in chunk[2]]
-    # Each chunk's rows move down behind the previous chunk's, a block at a
-    # time: numpy copies an overlapping source first, so a chunk moved in one
-    # piece would be held twice.
-    at, step = 0, max(1, _SIGN_BLOCK // k)
-    for start, chunk_signed, _ in chunks:
-        if start > at:
-            for lo in range(0, len(chunk_signed), step):
-                hi = min(lo + step, len(chunk_signed))
-                rows[at + lo:at + hi] = rows[start + lo:start + hi]
-        at += len(chunk_signed)
-    del chunks
-    matrix = rows[:len(signed)]
 
     def verify_rows(a: int, b: int) -> float:
         if params.exact_verification:
@@ -511,5 +511,5 @@ def dedup(corpus: Corpus, params: DedupParams) -> DedupResult:
             removed_docs.append(doc.replace(removed_reason="duplicate"))
     retained_corpus = Corpus(retained, corpus.language)
     return DedupResult(
-        retained_corpus, removals, removed_docs, cluster_set, workers, verified
+        retained_corpus, removals, removed_docs, cluster_set, verified
     )

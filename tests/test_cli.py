@@ -9,7 +9,6 @@ import pytest
 
 import refinery.cli
 import refinery.documents
-import refinery.parallel
 from refinery.cli import DOCUMENT_STAGES, main, run_stage
 from refinery.config import load_config
 from refinery.documents import Document, read_documents, write_documents
@@ -21,10 +20,6 @@ from conftest import (
     build_pipeline_fixture,
     snapshot_tree as _tree,
 )
-
-# The module: the package attribute refinery.dedup is the dedup function.
-refinery_dedup = sys.modules["refinery.dedup"]
-
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -393,29 +388,16 @@ def test_all_trains_the_classifier_once(tmp_path, monkeypatch):
     assert len(trained) == 1
 
 
-class _CallLog:
-    """One byte per call appended to a file, so that calls made in forked
-    worker processes are counted with the parent's."""
-
-    def __init__(self, path):
-        self.path = path
-        self.clear()
-
-    def __len__(self) -> int:
-        return self.path.stat().st_size
-
-    def clear(self) -> None:
-        self.path.write_bytes(b"")
+class _CallLog(list):
+    """One item per call; ``clear`` starts the count again."""
 
     def record(self) -> None:
-        with open(self.path, "ab") as fh:
-            fh.write(b".")
+        self.append(None)
 
 
-def _count_calls(monkeypatch, function, log_path) -> _CallLog:
-    """Every call to ``function``, through each refinery binding and in
-    every process of the run."""
-    calls = _CallLog(log_path)
+def _count_calls(monkeypatch, function) -> _CallLog:
+    """Every call to ``function``, through each refinery binding."""
+    calls = _CallLog()
 
     def counting(arg):
         calls.record()
@@ -432,8 +414,7 @@ def test_each_stage_segments_each_document_at_most_once(
 ):
     root, config_path = fixture_dir
     config = load_config(config_path)
-    calls = _count_calls(monkeypatch, refinery.documents.segment_text,
-                         tmp_path / "segment_text.calls")
+    calls = _count_calls(monkeypatch, refinery.documents.segment_text)
     current = None
     for stage in DOCUMENT_STAGES:
         calls.clear()
@@ -453,10 +434,8 @@ def test_all_parses_once_and_segments_each_document_at_most_once(
     root, config_path = fixture_dir
     with (root / "corpus.jsonl").open(encoding="utf-8") as corpus:
         records = sum(1 for line in corpus if line.strip())
-    parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line,
-                          tmp_path / "parse_document_line.calls")
-    segmented = _count_calls(monkeypatch, refinery.documents.segment_text,
-                             tmp_path / "segment_text.calls")
+    parsed = _count_calls(monkeypatch, refinery.documents.parse_document_line)
+    segmented = _count_calls(monkeypatch, refinery.documents.segment_text)
     assert main(["all", "--config", str(config_path), "--output", str(tmp_path)]) == 0
     assert len(parsed) == records
     assert 0 < len(segmented) <= records
@@ -466,8 +445,7 @@ def test_all_normalizes_text_by_text_only_the_seed_texts(fixture_dir, tmp_path, 
     # lid and dedup normalize in blocks (lid.normalize_many); only training
     # normalizes each seed text on its own.
     root, config_path = fixture_dir
-    calls = _count_calls(monkeypatch, sys.modules["refinery.lid"].normalize_for_lid,
-                         tmp_path / "normalize_for_lid.calls")
+    calls = _count_calls(monkeypatch, sys.modules["refinery.lid"].normalize_for_lid)
     assert main(["all", "--config", str(config_path), "--output", str(tmp_path / "out")]) == 0
     assert len(calls) == len(load_config(config_path).lid.seed_texts)
 
@@ -696,58 +674,6 @@ def test_stage_after_lid_rejects_a_corpus_it_cannot_hold(
     assert not (tmp_path / "out").exists()
 
 
-def _without_workers(tree: dict[str, bytes]) -> dict[str, bytes]:
-    return {
-        rel: json.dumps({k: v for k, v in json.loads(data).items() if k != "workers"},
-                        sort_keys=True).encode()
-        if rel.endswith("report.json") else data
-        for rel, data in tree.items()
-    }
-
-
-def test_all_on_one_and_on_many_chunks_writes_the_same_tree(
-    fixture_dir, tmp_path, monkeypatch
-):
-    root, config_path = fixture_dir
-    trees = {}
-    for cpus in (1, 3):
-        monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(refinery.parallel, "MIN_CHARS", 1000)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["all", "--config", str(config_path), "--output", str(out)]) == 0
-        report = json.loads((out / "dedup" / "report.json").read_text())
-        assert report["workers"] == cpus
-        trees[cpus] = _without_workers(_tree(out))
-    assert trees[1] == trees[3]
-
-
-def test_killed_worker_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch):
-    import os
-    import signal
-
-    root, config_path = fixture_dir
-    lid_out = tmp_path / "lid"
-    assert main(["lid", "--config", str(config_path), "--output", str(lid_out)]) == 0
-    capsys.readouterr()
-    shingle_hashes = refinery_dedup._shingle_hashes
-
-    def die_in_a_worker(text, n, vocab):
-        if refinery.parallel._in_worker:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return shingle_hashes(text, n, vocab)
-
-    monkeypatch.setattr(refinery.parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(refinery.parallel, "MIN_CHARS", 1000)
-    monkeypatch.setattr(refinery_dedup, "_shingle_hashes", die_in_a_worker)
-    out = tmp_path / "dedup"
-    assert main(["dedup", "--config", str(config_path), "--input",
-                 str(lid_out / "documents.jsonl"), "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("refinery: dedup failed: a worker process died: ")
-    assert err.count("\n") == 1
-    assert not (out / "report.json").exists()
-
-
 def test_stale_temp_name_in_output_dir_is_harmless(tmp_path):
     (tmp_path / "corpus.jsonl").write_text(
         '{"id":"a","lang":"aaa_Latn","text":"badge cable media"}\n'
@@ -901,3 +827,24 @@ def test_compare_runs_reports_identical_and_differing_trees(tmp_path):
         outputs.append((result.returncode, lines[-1]))
     assert outputs[0][0] == 0 and outputs[0][1].startswith("outputs identical: ")
     assert outputs[1] == (1, "outputs differ: analyze/analytics.json, analyze/analytics.txt")
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, refinery.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                            check=True, capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_importing_the_cli_leaves_one_thread():
+    # Refinery calls no BLAS routine; capping OpenBLAS at one thread before
+    # numpy loads spares the start-up cost of its thread pool.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    script = ("import refinery.cli\n"
+              "print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))")
+    result = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": str(src)},
+                            check=True, capture_output=True, text=True, timeout=60)
+    assert result.stdout.split() == ["Threads:", "1"]

@@ -280,3 +280,20 @@ def test_mapping_items_checked_one_by_one(tmp_path, override, message):
     path = _write(tmp_path, _minimal(tmp_path))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_config(path, overrides=[override])
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param(key, value, message, id=f"{key}={value}")
+    for key, value, message in [
+        ("lid.min_confidence", ".nan", "expected a number, got nan"),
+        ("lid.min_confidence", "2", "must be in [0, 1], got 2"),
+        ("lid.min_confidence", "-0.5", "must be in [0, 1], got -0.5"),
+        ("wds.non_letter_ratio_threshold", ".nan", "expected a number, got nan"),
+        ("wds.digit_ratio_threshold", ".nan", "expected a number, got nan"),
+        ("wds.weights.url_density", ".nan", "expected a number, got nan"),
+    ]
+])
+def test_nan_or_out_of_range_number_exits_2_naming_the_key(tmp_path, capsys, key, value, message):
+    path = _write(tmp_path, _minimal(tmp_path))
+    assert main(["all", "--config", str(path), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"refinery: config error: {key}: {message}\n"

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refinery import parallel
 from refinery.dedup import (
     DedupConfigError,
     DedupParams,
@@ -20,6 +19,7 @@ from refinery.dedup import (
     ShingleSet,
     _buckets,
     _cluster_buckets,
+    _sign,
     cluster,
     dedup,
     estimate_jaccard,
@@ -30,6 +30,8 @@ from refinery.dedup import (
 )
 from refinery.documents import Corpus, Document
 from refinery.lid import normalize_for_lid
+
+dedup_module = importlib.import_module("refinery.dedup")
 
 from conftest import WORDS, random_text
 
@@ -80,8 +82,19 @@ def _py_shingles(text, n):
 
 
 def _py_signature(shingles, k, seed):
-    seeds = [_py_mix64((seed + i * 0x9E3779B97F4A7C15) & _MASK) for i in range(1, k + 1)]
-    return tuple(min(_py_mix64(x ^ r) for x in shingles) for r in seeds)
+    """The documented sketch, round by round and one element at a time."""
+    values = [None] * k
+    r = 0
+    while None in values:
+        s_r = _py_mix64((seed + (r + 1) * 0x9E3779B97F4A7C15) & _MASK)
+        for x in shingles:
+            z = _py_mix64(x ^ s_r)
+            i = ((z & 0xFFFFFFFF) * k) >> 32
+            value = (r << 40) + (z >> 24)
+            if values[i] is None or value < values[i]:
+                values[i] = value
+        r += 1
+    return tuple(values)
 
 
 class TestShingle:
@@ -176,12 +189,26 @@ class TestSignature:
             sa, sb = signature(a, 64, seed), signature(b, 64, seed)
             assert estimate_jaccard(sa, sb) == estimate_jaccard(sb, sa)
 
-    @pytest.mark.parametrize("k, size", [(1, 5), (16, 40), (256, 300)])
+    @pytest.mark.parametrize("k, size", [(1, 5), (16, 40), (256, 300), (256, 1), (256, 2000)])
     def test_matches_plain_python_minhash(self, rng, k, size):
-        # 300 shingles at k = 256 span two of the signing kernel's blocks.
+        # One element takes some 1,500 rounds at k = 256, in batches of
+        # growing width; 2,000 elements fill most rows in one.
         s = ShingleSet(_random_set(rng, size), 5)
         for seed in (0, 7, 2**64 - 1):
             assert signature(s, k, seed).values == _py_signature(s.shingles, k, seed)
+
+    @pytest.mark.parametrize("block", [1 << 16, 300, 7])
+    def test_a_block_signs_each_set_as_it_signs_alone(self, rng, monkeypatch, block):
+        # A block of 7 mixes one (shingle, round) pair at a time.
+        sets = [_random_set(rng, size) for size in (1, 5, 2000, 5, 1, 2000, 1)]
+        arrays = [np.fromiter(s, dtype=np.uint64, count=len(s)) for s in sets]
+        monkeypatch.setattr(dedup_module, "_SIGN_BLOCK", block)
+        rows = np.empty((len(sets), 256), dtype=np.uint64)
+        _sign(arrays, 11, rows)
+        monkeypatch.undo()
+        for s, row in zip(sets, rows.tolist()):
+            assert tuple(row) == signature(ShingleSet(s, 5), 256, 11).values
+        assert (rows != np.iinfo(np.uint64).max).all()  # every component filled
 
     def test_mismatched_signatures_rejected(self, rng):
         s = ShingleSet(_random_set(rng, 10), 5)
@@ -513,12 +540,12 @@ class TestDedup:
             assert got == self._oracle_retained(corpus, params)
 
 
-def _short_at_chunk_ends(rng, workers=3):
+def _short_at_chunk_ends(rng, chunks=3):
     """A duplicate corpus whose documents at both ends of each of
-    ``workers`` equal chunks, in (collection, id) order, are too short to
+    ``chunks`` equal chunks, in (collection, id) order, are too short to
     shingle: two at each chunk's start, one at its end."""
     ranked = sorted(_duplicate_corpus(rng, n_groups=40), key=Document.sort_key)
-    bounds = [len(ranked) * i // workers for i in range(workers + 1)]
+    bounds = [len(ranked) * i // chunks for i in range(chunks + 1)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         for i in (start, start + 1, stop - 1):
             ranked[i] = ranked[i].replace(text="too short")
@@ -527,24 +554,35 @@ def _short_at_chunk_ends(rng, workers=3):
 
 @pytest.mark.parametrize("case", ["short_at_chunk_ends", "exact_verification",
                                   "none_shingles", "empty"])
-def test_forked_workers_sign_into_the_matrix_as_one_process_does(monkeypatch, rng, case):
+def test_rows_sign_in_blocks_as_each_document_does_alone(monkeypatch, rng, case):
     corpus = _short_at_chunk_ends(rng)
     if case == "none_shingles":
         corpus = Corpus([doc.replace(text="too short") for doc in corpus], "eng_Latn")
     elif case == "empty":
         corpus = Corpus([], "eng_Latn")
     params = DedupParams(exact_verification=case == "exact_verification")
-    monkeypatch.setattr(parallel, "MIN_CHARS", 1)
-    results = {}
-    for cpus in (3, 1):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        results[cpus] = dedup(corpus, params)
-    forked, serial = results[3], results[1]
-    assert (forked.workers, serial.workers) == ((1, 1) if case == "empty" else (3, 1))
-    assert forked.removals == serial.removals
-    assert [doc.id for doc in forked.retained] == [doc.id for doc in serial.retained]
-    assert forked.clusters == serial.clusters
-    assert bool(serial.removals) == (case in ("short_at_chunk_ends", "exact_verification"))
+    matrices = []
+    buckets = dedup_module._buckets
+
+    def keep_matrix(matrix, *args):
+        matrices.append(matrix.copy())
+        return buckets(matrix, *args)
+
+    monkeypatch.setattr(dedup_module, "_buckets", keep_matrix)
+    whole = dedup(corpus, params)
+    # Blocks of a few documents each, with unshingled ones between them.
+    monkeypatch.setattr(dedup_module, "_SIGN_BLOCK", 100)
+    blocks = dedup(corpus, params)
+    ranked = sorted(corpus, key=Document.sort_key)
+    alone = [signature(s, params.signature_length, params.seed).values
+             for s in (shingle(doc, params.ngram_order) for doc in ranked) if s.shingles]
+    for matrix in matrices:
+        assert matrix.shape == (len(alone), params.signature_length)
+        assert [tuple(row) for row in matrix.tolist()] == alone
+    assert blocks.removals == whole.removals
+    assert [doc.id for doc in blocks.retained] == [doc.id for doc in whole.retained]
+    assert blocks.clusters == whole.clusters
+    assert bool(whole.removals) == (case in ("short_at_chunk_ends", "exact_verification"))
 
 
 def test_token_hash_is_hashlibs_blake2b():
