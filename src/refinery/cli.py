@@ -12,8 +12,10 @@ input once and hands documents from stage to stage in memory, writing the
 same files as separate runs chained through ``--input``. Every stage after
 lid checks that its input file is a corpus in ``language`` with unique ids.
 lid normalizes and scores every document and segment serially, in batches
-of whole documents (``NgramLanguageClassifier.predict_documents``), and
-score labels the segments of documents without ``seg_langs`` the same way. lid's
+of whole documents (``NgramLanguageClassifier.predict_documents``): each
+distinct segment of a batch is scored once, and a document adds its
+segments' sums to those of the windows across their joins. score labels
+the segments of documents without ``seg_langs`` the same way. lid's
 ``report.json`` counts the documents it ``rejected`` and the texts whose
 verdict ``predict`` decided again (``exact_rescored``). Every stage runs
 in one process: dedup signs its documents serially, in blocks, with a fast

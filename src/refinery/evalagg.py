@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import median
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -347,6 +346,13 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle ones, as ``statistics.median``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _cv_of_deltas(series: list[float]) -> float:
     deltas = [b - a for a, b in zip(series, series[1:])]
     if all(d == 0 for d in deltas):
@@ -415,8 +421,8 @@ def select_tasks(
         noise_values, mads = [], []
         for m, model_series in enumerate(series):
             values = [v for v in block.values[m, :, -1].tolist() if v != -math.inf]
-            med = median(values)
-            mads.append(median([abs(v - med) for v in values]))
+            med = _median(values)
+            mads.append(_median([abs(v - med) for v in values]))
             spread = math.sqrt(_mean([(v - _mean(values)) ** 2 for v in values]))
             noise_values.append(model_series[-1] / spread if spread else math.inf)
         steps = list(map(float, range(len(checkpoints))))

@@ -19,21 +19,27 @@ matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
 
 ``predict_documents`` scores whole corpora: every document (its normalized
 segments joined by spaces) and every segment. It reads whole documents
-into batches of about ``_BATCH_CHARS`` characters and normalizes each
-batch's segments itself, so no caller can hand it the U+0000 and U+0001
-that mark where documents and segments end in a batch's stream. Each
-order-n window packs its code points into a ``uint64`` key, 21 bits each,
-and an open-addressing hash table over the model's keys (``_KeyTable``)
-finds its matrix row; one ``np.bincount`` per label sums the rows by
-document and another by segment. The stream is cut into blocks of
-``_BLOCK_CHARS`` window starts, each carrying the next (max order - 1)
-characters, so the kernel's memory stays a few MB whatever the document
-size. Those sums add the terms in another order than ``predict``, so each
-text gets a bound on the difference (``_rounding_bound``): n terms of at
-most M in magnitude, added in any order, land within n * n * M * 2**-53
-of the exact sum. A text whose top-two gap, or whose confidence's
-distance to ``min_confidence``, is within the bound is decided again by
-``predict``, so labels and rejections equal ``predict``'s.
+into batches of about ``_BATCH_CHARS`` characters. A batch normalizes each
+distinct raw segment once and scores each distinct non-empty normal form,
+a piece, once; a document's sums are its pieces' sums plus those of its
+junction windows, the windows holding a space that joins two pieces. Each
+of those lies in the context of the first join it holds: up to (max order
+- 1) characters on each side of it, the join marked U+0001. Pieces and
+contexts are summed by one kernel over a stream of texts each ended by
+U+0000 (``_sums``); the batch normalizes its segments itself, so no caller
+can hand it either character. Each order-n window packs its code points
+into a ``uint64`` key, 21 bits each, an open-addressing hash table over
+the model's keys (``_KeyTable``) finds its matrix row, and one
+``np.bincount`` per order and label sums the rows by text. The stream is
+cut into blocks of ``_BLOCK_CHARS`` window starts, each carrying the next
+(max order - 1) characters, so the kernel's memory stays a few MB whatever
+the text size. Those sums add the terms in another order than
+``predict``, so each text gets a bound on the difference
+(``_rounding_bound``): n terms of at most M in magnitude, added in any
+order, land within n * n * M * 2**-53 of the exact sum. A text whose
+top-two gap, or whose confidence's distance to ``min_confidence``, is
+within the bound is decided again by ``predict``, so labels and rejections
+equal ``predict``'s.
 """
 
 from __future__ import annotations
@@ -393,33 +399,49 @@ class NgramLanguageClassifier:
 
         Each item of ``segments`` holds one document's segment texts, which
         the pass normalizes (``normalize_many``); the document's normalized
-        text is its non-empty normalized segments joined by one space.
-        Items are read in batches of whole documents, each ending with the
-        document that brings its segments to ``_BATCH_CHARS`` characters.
-        Yields, per document in order, its prediction, its segment labels
-        ("und" for an empty segment) and how many of its texts ``predict``
-        decided again. Every label, and whether a document's confidence is
-        below ``min_confidence``, equals ``predict``'s on the same text; a
+        text is its non-empty normalized segments, its pieces, joined by one
+        space. Items are read in batches of whole documents, each ending
+        with the document that brings its segments to ``_BATCH_CHARS``
+        characters. Yields, per document in order, its prediction, its
+        segment labels ("und" for an empty segment) and how many of its
+        texts ``predict`` decided again, counting each occurrence of a
+        piece. Every label, and whether a document's confidence is below
+        ``min_confidence``, equals ``predict``'s on the same text; a
         confidence may differ from ``predict``'s in its last bits.
         """
         nothing = ("und", 0.0, False)
         for batch in _batches(segments, _BATCH_CHARS, lambda segs: sum(map(len, segs))):
-            normals = normalize_many(seg for segs in batch for seg in segs)
-            docs = [[next(normals) for _ in segs] for segs in batch]
-            # Each document's pieces: its non-empty normalized segments.
-            texts = [[seg for seg in segs if seg] for segs in docs]
-            doc_sums = piece_sums = None
+            # Each distinct raw segment is normalized once, and each distinct
+            # piece numbered once: its row in ``pieces``, or -1 if empty.
+            raw = list(dict.fromkeys(chain.from_iterable(batch)))
+            number: dict[str, int] = {}
+            row_of = {seg: number.setdefault(normal, len(number)) if normal else -1
+                      for seg, normal in zip(raw, normalize_many(raw))}
+            pieces = list(number)
+            docs = [[row_of[seg] for seg in segs] for segs in batch]
+            del raw, number, row_of  # a few MB each on one long document
+            # The documents with text, as the rows of their pieces.
+            texts = [kept for kept in ([r for r in segs if r >= 0] for segs in docs) if kept]
+            chars = np.fromiter(map(len, pieces), dtype=np.float64, count=len(pieces))
+            rows = np.fromiter(chain.from_iterable(texts), dtype=np.intp)
+            owner = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
+            piece_sums = doc_sums = None
             if max(self._orders) <= _KEY_ORDER:  # else keys cannot hold the grams
-                doc_sums, piece_sums = self._sums(
-                    "".join("\x01".join(text) + "\x00" for text in texts if text))
-            pieces = zip(*self._settle([p for text in texts for p in text], piece_sums, None))
-            documents = zip(*self._settle([" ".join(text) for text in texts if text], doc_sums,
+                piece_sums = self._sums("\x00".join(chain(pieces, [""])))
+                doc_sums = self._document_sums(piece_sums, pieces, chars, rows, owner, len(texts))
+            labels, _, again = self._settle(piece_sums, chars, pieces.__getitem__, None)
+            doc_chars = np.bincount(owner, chars[rows], len(texts)) + [len(t) - 1 for t in texts]
+            documents = zip(*self._settle(doc_sums, doc_chars,
+                                          lambda i: " ".join(pieces[r] for r in texts[i]),
                                           min_confidence))
-            for segs, text in zip(docs, texts):
-                labelled = [next(pieces) if seg else nothing for seg in segs]
-                label, confidence, redone = next(documents) if text else nothing
-                yield (LangPrediction(label, confidence), tuple(lb for lb, _, _ in labelled),
-                       redone + sum(again for _, _, again in labelled))
+            # Row -1: an empty segment.
+            labels.append("und")
+            again.append(False)
+            for segs in docs:
+                label, confidence, redone = (next(documents) if max(segs, default=-1) >= 0
+                                             else nothing)
+                yield (LangPrediction(label, confidence), tuple(map(labels.__getitem__, segs)),
+                       redone + sum(map(again.__getitem__, segs)))
 
     def _key_index(self) -> tuple[_KeyTable, np.ndarray, float]:
         """A table from the packed key of each known gram to its matrix row;
@@ -438,80 +460,119 @@ class NgramLanguageClassifier:
             )
         return self._index
 
-    def _sums(self, stream: str) -> tuple[np.ndarray, np.ndarray]:
-        """The score sums of each document and of each piece of ``stream``,
-        each a [texts, labels] array.
+    def _document_sums(
+        self, piece_sums: np.ndarray, pieces: list[str], lengths: np.ndarray, rows: np.ndarray,
+        owner: np.ndarray, documents: int,
+    ) -> np.ndarray:
+        """The [documents, labels] score sums of documents whose pieces have
+        the ``rows`` of ``pieces``, ``lengths`` and ``piece_sums``, ``owner``
+        holding each one's document: its pieces' sums plus those of the
+        windows holding a join. Such a window belongs to the first join it
+        holds, and lies in that join's context: the last (max order - 1)
+        characters of the piece before it, the space, marked U+0001, and the
+        first (max order - 1) of the document's text after it. The contexts
+        are summed about ``_BLOCK_CHARS`` characters at a time.
+        """
+        sums = np.zeros((documents, piece_sums.shape[1]))
+        np.add.at(sums, owner, piece_sums[rows])
+        reach = max(self._orders) - 1
+        # The last and the first ``reach`` characters of a text.
+        tail, head = slice(-reach, None) if reach else slice(0), slice(reach)
+        # The occurrence before each join.
+        joins = np.flatnonzero(owner[1:] == owner[:-1])
+        step = max(1, _BLOCK_CHARS // (2 * reach + 2))
+        for start in range(0, len(joins), step):
+            at = joins[start:start + step]
+            left, right = rows[at].tolist(), rows[at + 1].tolist()
+            contexts = [pieces[a][tail] + "\x01" + pieces[b][head] + "\x00"
+                        for a, b in zip(left, right)]
+            # After a piece shorter than a head, the document's text goes on.
+            for i in np.flatnonzero(lengths[right] < reach).tolist():
+                k = at[i] + 1
+                text = pieces[right[i]]
+                while len(text) < reach and k + 1 < len(rows) and owner[k + 1] == owner[k]:
+                    k += 1
+                    text += " " + pieces[rows[k]]
+                contexts[i] = pieces[left[i]][tail] + "\x01" + text[head] + "\x00"
+            np.add.at(sums, owner[at], self._sums("".join(contexts), marked=True))
+        return sums
 
-        The stream gives each document as its pieces joined by U+0001 and
-        followed by U+0000; neither character occurs in normalized text. A
-        window belongs to a document if it holds no U+0000, and to a piece if
-        it holds neither; the others are summed into a last, discarded bin.
-        The stream is summed a block of ``_BLOCK_CHARS`` window starts at a
-        time, and the sums of the text open at a block's end carry over to
-        the next.
+    def _sums(self, stream: str, marked: bool = False) -> np.ndarray:
+        """The [texts, labels] score sums of each U+0000-terminated text of
+        ``stream``.
+
+        A window holding U+0000 belongs to no text, nor, if ``marked``, one
+        holding no U+0001; the others belong to the text they lie in, U+0001
+        counting as a space. Normalized text holds neither character. The
+        windows of no text are dropped, and the terms of the others summed
+        by one ``np.bincount`` per order and label, with one bin per text.
+        The stream is summed a block of ``_BLOCK_CHARS`` window starts
+        at a time, and the sums of the text open at a block's end carry over
+        to the next.
         """
         table, columns, _ = self._key_index()
         unseen = len(self._rows)
         top = max(self._orders)
-        ends = stream.count("\x00")
         # One bin past the last text: the open text after the stream's end.
-        doc_sums = np.zeros((len(columns), ends + 1))
-        piece_sums = np.zeros((len(columns), ends + stream.count("\x01") + 1))
-        first_doc = first_piece = 0
+        sums = np.zeros((len(columns), stream.count("\x00") + 1))
+        first = 0
         for start in range(0, len(stream), _BLOCK_CHARS):
             block = stream[start:start + _BLOCK_CHARS + top - 1]
             owned = min(_BLOCK_CHARS, len(stream) - start)
             code = np.frombuffer(block.encode("utf-32-le"), dtype=np.uint32)
-            # Documents and pieces begun before each position.
-            doc_of = np.zeros(len(code) + 1, dtype=np.intp)
-            np.cumsum(code == 0, out=doc_of[1:])
-            piece_of = np.zeros(len(code) + 1, dtype=np.intp)
-            np.cumsum(code <= 1, out=piece_of[1:])
-            open_doc, open_piece = doc_of[owned], piece_of[owned]
-            block_docs = np.zeros((len(columns), open_doc + 2))
-            block_pieces = np.zeros((len(columns), open_piece + 2))
+            # Texts, and with ``marked`` joins, begun before each position.
+            text_of = np.zeros(len(code) + 1, dtype=np.intp)
+            np.cumsum(code == 0, out=text_of[1:])
             chars = code.astype(np.uint64)
-            chars[code == 1] = ord(" ")
+            if marked:
+                join = code == 1
+                joins = np.zeros(len(code) + 1, dtype=np.intp)
+                np.cumsum(join, out=joins[1:])
+                chars[join] = ord(" ")
+            open_text = text_of[owned]
+            block_sums = np.zeros((len(columns), open_text + 1))
             key = chars
             for n in range(1, top + 1):
                 if n > 1:
                     key = (key[:-1] << np.uint64(_KEY_BITS)) | chars[n - 1:]
+                repeats = self._orders.count(n)
+                if not repeats:
+                    continue
                 m = min(owned, len(key))
-                doc_bin = np.where(doc_of[n:n + m] == doc_of[:m], doc_of[:m], open_doc + 1)
-                piece_bin = np.where(piece_of[n:n + m] == piece_of[:m], piece_of[:m],
-                                     open_piece + 1)
-                at = table.get(key[:m], unseen)
-                for _ in range(self._orders.count(n)):
-                    for column, doc_row, piece_row in zip(columns, block_docs, block_pieces):
-                        terms = column[at]
-                        doc_row += np.bincount(doc_bin, terms, open_doc + 2)
-                        piece_row += np.bincount(piece_bin, terms, open_piece + 2)
+                held = text_of[n:n + m] == text_of[:m]
+                if marked:
+                    held &= joins[n:n + m] != joins[:m]
+                held = np.flatnonzero(held)
+                bins = text_of[held]
+                at = table.get(key[held], unseen)
+                for _ in range(repeats):
+                    for column, row in zip(columns, block_sums):
+                        row += np.bincount(bins, column[at], open_text + 1)
             # The open text's bin holds its sums from earlier blocks, every
             # later bin zero.
-            doc_sums[:, first_doc:first_doc + open_doc + 1] += block_docs[:, :-1]
-            piece_sums[:, first_piece:first_piece + open_piece + 1] += block_pieces[:, :-1]
-            first_doc += open_doc
-            first_piece += open_piece
-        return doc_sums[:, :-1].T, piece_sums[:, :-1].T
+            sums[:, first:first + open_text + 1] += block_sums
+            first += open_text
+        return sums[:, :-1].T
 
     def _settle(
-        self, texts: list[str], sums: np.ndarray | None, min_confidence: float | None
+        self, sums: np.ndarray | None, chars: np.ndarray, text: Callable[[int], str],
+        min_confidence: float | None,
     ) -> tuple[list[str], list[float], list[bool]]:
         """Each text's label and confidence from its score ``sums``, and
-        whether ``predict`` decided it again: with no sums, or when its
-        top-two gap, or with ``min_confidence`` its confidence's distance to
-        that, is within the rounding bound. A tie is within any bound, so
+        whether ``predict`` decided it again (``text(i)`` is the i-th text,
+        of ``chars[i]`` characters): with no sums, or when its top-two gap,
+        or with ``min_confidence`` its confidence's distance to that, is
+        within the rounding bound. A tie is within any bound, so
         ``predict``'s tie rule decides it."""
         if sums is None:
-            best, conf = np.zeros(len(texts), dtype=np.intp), np.zeros(len(texts))
-            again = np.ones(len(texts), dtype=bool)
+            best, conf = np.zeros(len(chars), dtype=np.intp), np.zeros(len(chars))
+            again = np.ones(len(chars), dtype=bool)
         else:
             n_labels = sums.shape[1]
             best = np.argmax(sums, axis=1)
             peak = sums.max(axis=1)
             runner_up = (np.partition(sums, n_labels - 2, axis=1)[:, n_labels - 2]
                          if n_labels > 1 else np.full(len(sums), -np.inf))
-            chars = np.array([len(text) for text in texts], dtype=np.float64)
             windows = sum(np.maximum(chars - (n - 1), 0) for n in self._orders)
             bound = _rounding_bound(windows, self._key_index()[2])
             conf = 1.0 / np.exp(sums - peak[:, None]).sum(axis=1)
@@ -523,7 +584,7 @@ class NgramLanguageClassifier:
         labels = [self._labels[i] for i in best.tolist()]
         confidences = conf.tolist()
         for i in np.flatnonzero(again).tolist():
-            prediction = self.predict(texts[i])
+            prediction = self.predict(text(i))
             labels[i], confidences[i] = prediction.label, prediction.confidence
         return labels, confidences, again.tolist()
 

@@ -9,7 +9,6 @@ files and frames without a recorded content size.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 
 ZSTD_MAGIC = b"\x28\xb5\x2f\xfd"
 
@@ -39,15 +38,21 @@ class _OutBuffer(ctypes.Structure):
 
 
 def _load_libzstd() -> ctypes.CDLL:
-    candidates = []
-    found = ctypes.util.find_library("zstd")
-    if found:
-        candidates.append(found)
-    candidates += ["libzstd.so.1", "libzstd.so", "libzstd.1.dylib", "libzstd.dylib"]
+    """The system libzstd: the fixed sonames first, then ``find_library``,
+    which on Linux runs ``ldconfig -p`` in a child process, only if none
+    of them loads."""
     last_error: OSError | None = None
-    for name in candidates:
+    for name in ("libzstd.so.1", "libzstd.so", "libzstd.1.dylib", "libzstd.dylib"):
         try:
             return ctypes.CDLL(name)
+        except OSError as exc:
+            last_error = exc
+    from ctypes.util import find_library
+
+    found = find_library("zstd")
+    if found:
+        try:
+            return ctypes.CDLL(found)
         except OSError as exc:
             last_error = exc
     raise ZstdError(f"could not locate a libzstd shared library: {last_error}")

@@ -837,6 +837,17 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_no_start_up_extras():
+    # libzstd is found by its fixed sonames, without ctypes.util's ldconfig
+    # child process, and evalagg takes medians without statistics.
+    src = Path(__file__).resolve().parent.parent / "src"
+    extras = ("subprocess", "ctypes.util", "statistics", "fractions", "decimal")
+    script = f"import sys, refinery.cli; print([m for m in {extras!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                            check=True, capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 def test_importing_the_cli_leaves_one_thread():
     # Refinery calls no BLAS routine; capping OpenBLAS at one thread before

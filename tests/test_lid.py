@@ -341,6 +341,62 @@ def test_documents_and_windows_straddle_blocks(three_alphabet_model, monkeypatch
     _check_against_predict(model, texts, 0.9)
 
 
+# Shared segments: short ones join into windows spanning two or more joins,
+# and digits or punctuation alone normalize to nothing.
+_SHORT_SEGMENTS = ["!", "7", "a", "é", "б", "ω", "Ω", "ab", "жз", "a б", "γ.δ", "Ab"]
+_SEGMENT_POOL = st.lists(
+    st.one_of(st.sampled_from(_SHORT_SEGMENTS),
+              st.text(alphabet=_MIXED_ALPHABET.replace("\n", ""), min_size=1, max_size=40)),
+    min_size=1, max_size=6)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(_SEGMENT_POOL, st.lists(st.lists(st.integers(0, 5), max_size=12), max_size=6),
+       st.integers(min_value=0),
+       st.sampled_from([(1, 50), (2, 1), (3, 120), (5, 400), (64, 1 << 16)]))
+def test_documents_sharing_segments_match_predict(three_alphabet_model, pool, picks, pick, sizes):
+    model, _ = three_alphabet_model
+    texts = ["\n".join(pool[i % len(pool)] for i in doc) for doc in picks]
+    confidences = [classify(t, model).confidence for t in texts]
+    planted = confidences[pick % len(confidences)] if confidences else 0.5
+    _check_against_predict(model, texts, 0.0)
+    _check_against_predict(model, texts, planted)
+    block, batch = sizes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lid, "_BLOCK_CHARS", block)
+        patch.setattr(lid, "_BATCH_CHARS", batch)
+        _check_against_predict(model, texts, 0.0)
+        _check_against_predict(model, texts, planted)
+
+
+@pytest.mark.parametrize("batch", [1 << 16, 1])
+def test_inflated_bound_predicts_each_distinct_piece_once_per_batch(
+        three_alphabet_model, monkeypatch, batch):
+    model, _ = three_alphabet_model
+    # Raw segments that differ but normalize alike, and repeats across documents.
+    segments = [["Абв где", "déñ!", "", "абв где", "7"], ["DÉÑ", "αβγ", "абв  где"], [],
+                ["12"], ["αβγ", "x", "αβγ"]]
+    calls = []
+    predict = model.predict
+    monkeypatch.setattr(model, "predict", lambda text: calls.append(text) or predict(text))
+    monkeypatch.setattr(lid, "_rounding_bound", lambda windows, magnitude: windows * 0 + 1e300)
+    monkeypatch.setattr(lid, "_BATCH_CHARS", batch)
+    predictions, labels, rescored = _predict_documents(model, segments, 0.3)
+    normals = [[normalize_for_lid(seg) for seg in segs] for segs in segments]
+    texts = [" ".join(filter(None, segs)) for segs in normals if any(segs)]
+    # One batch of all documents, or one batch per document.
+    batches = [normals] if batch > 100 else [[segs] for segs in normals]
+    distinct = [piece for docs in batches
+                for piece in dict.fromkeys(seg for segs in docs for seg in segs if seg)]
+    assert len(distinct) == (4 if batch > 100 else 7)
+    assert Counter(calls) == Counter(texts + distinct)
+    # Every occurrence of a piece counts as a text decided again.
+    assert rescored == len(texts) + sum(1 for segs in normals for seg in segs if seg) == 3 + 9
+    assert predictions == [predict(" ".join(filter(None, segs))) for segs in normals]
+    assert labels == [tuple(predict(seg).label for seg in segs) for segs in normals]
+
+
 def test_predict_documents_reads_one_batch_ahead(three_alphabet_model):
     model, _ = three_alphabet_model
     read = []

@@ -37,3 +37,22 @@ def test_truncated_frame_reports_offset():
     with pytest.raises(zstdio.ZstdError) as info:
         zstdio.decompress(good + broken)
     assert info.value.frame_offset == len(good)
+
+
+def test_fixed_sonames_are_tried_before_find_library(monkeypatch):
+    import ctypes.util
+
+    tried = []
+
+    def cdll(name):
+        tried.append(name)
+        raise OSError(f"no {name}")
+
+    monkeypatch.setattr(zstdio.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library",
+                        lambda name: tried.append(f"find {name}") or "libzstd.so.found")
+    with pytest.raises(zstdio.ZstdError, match="^could not locate a libzstd shared library: "
+                                              "no libzstd.so.found$"):
+        zstdio._load_libzstd()
+    assert tried == ["libzstd.so.1", "libzstd.so", "libzstd.1.dylib", "libzstd.dylib",
+                     "find zstd", "libzstd.so.found"]
