@@ -351,20 +351,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="refinery", description="Corpus refinement pipeline"
     )
-    sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in (*STAGES, "all"):
-        p = sub.add_parser(stage)
-        p.add_argument("--config", required=True, help="pipeline config file")
-        p.add_argument("--input", default=None, help="override the stage input path")
-        p.add_argument("--output", default=None, help="override the stage output dir")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            dest="overrides",
-            metavar="KEY=VALUE",
-            help="override a config field, e.g. dedup.verify_threshold=0.9",
-        )
+    parser.add_argument("stage", choices=(*STAGES, "all"))
+    parser.add_argument("--config", required=True, help="pipeline config file")
+    parser.add_argument("--input", default=None, help="override the stage input path")
+    parser.add_argument("--output", default=None, help="override the stage output dir")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        dest="overrides",
+        metavar="KEY=VALUE",
+        help="override a config field, e.g. dedup.verify_threshold=0.9",
+    )
     args = parser.parse_args(argv)
 
     try:

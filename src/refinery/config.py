@@ -186,11 +186,7 @@ def _check_range(value: float, where: str, low: float, high: float) -> None:
         raise ConfigError(f"{where}: must be in [{low}, {high}], got {value}")
 
 
-def load_config(
-    path: str | Path,
-    overrides: Iterable[str] = (),
-    check_paths: bool = True,
-) -> PipelineConfig:
+def load_config(path: str | Path, overrides: Iterable[str] = ()) -> PipelineConfig:
     """Parse and validate a pipeline config file (.yaml/.yml/.json).
 
     ``overrides`` are dotted-path assignments from the command line, e.g.
@@ -217,6 +213,5 @@ def load_config(
     _check_range(config.lid.min_confidence, "lid.min_confidence", 0, 1)
     if config.wds.min_level is not None:
         _check_range(config.wds.min_level, "wds.min_level", 0, 10)
-    if check_paths:
-        validate_paths(config, path.parent)
+    validate_paths(config, path.parent)
     return config

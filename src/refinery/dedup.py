@@ -88,7 +88,6 @@ class MinHashSignature:
 @dataclass(frozen=True)
 class DedupParams:
     ngram_order: int = 5
-    signature_length: int = 256
     seed: int = 0
     bands: int = 16
     rows: int = 16
@@ -100,21 +99,18 @@ class DedupParams:
     def __post_init__(self):
         if self.ngram_order < 1:
             raise DedupConfigError("ngram_order must be >= 1")
-        if self.signature_length < 1:
-            raise DedupConfigError("signature_length must be >= 1")
         if self.bands < 1 or self.rows < 1:
             raise DedupConfigError("bands and rows must be >= 1")
-        if self.bands * self.rows != self.signature_length:
-            raise DedupConfigError(
-                f"bands*rows = {self.bands * self.rows} != "
-                f"signature_length = {self.signature_length}"
-            )
         if not 0.0 <= self.verify_threshold <= 1.0:
             raise DedupConfigError("verify_threshold must lie in [0, 1]")
         if self.mode not in ("global", "per_crawl"):
             raise DedupConfigError(f"unknown mode {self.mode!r}")
         if self.candidates not in ("lsh", "all_pairs"):
             raise DedupConfigError(f"unknown candidate scheme {self.candidates!r}")
+
+    @property
+    def signature_length(self) -> int:
+        return self.bands * self.rows
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -308,12 +308,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def write_documents(
-    docs: Iterable[Document], path: str | Path, compression_level: int = 9
-) -> None:
+def write_documents(docs: Iterable[Document], path: str | Path) -> None:
     """Write documents atomically as JSONL, zstd-compressed when path ends in .zst."""
     path = Path(path)
     payload = "".join(serialize_document(d) + "\n" for d in docs).encode("utf-8")
     if path.suffix == ".zst":
-        payload = zstdio.compress(payload, level=compression_level)
+        payload = zstdio.compress(payload)
     write_atomic(path, payload)

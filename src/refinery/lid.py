@@ -1,4 +1,4 @@
-"""Language-identification preprocessing and the pluggable classifier.
+"""Language-identification preprocessing and the n-gram classifier.
 
 The normalizer lowercases, collapses whitespace, and strips digits and
 non-word characters, yielding text suitable for any character-based
@@ -7,12 +7,11 @@ points, filled from ``unicodedata`` on first sight, so that it works on
 many texts at once (``str.translate`` with a dict costs about 100 ns per
 character of accented text): ``normalize_many`` normalizes about
 ``_BLOCK_CHARS`` characters of texts per step, lowercasing each text on
-its own, and ``normalize_for_lid`` is its one-text case. The built-in
-fallback classifier is a character n-gram multinomial scorer trained on
-seed text per language, so the whole pipeline runs offline; an external
-model can replace it by implementing the two-method contract below.
+its own, and ``normalize_for_lid`` is its one-text case. The classifier
+is a character n-gram multinomial scorer trained on seed text per
+language, so the whole pipeline runs offline.
 
-The built-in scorer keeps its log-probabilities as one dense matrix with a
+The scorer keeps its log-probabilities as one dense matrix with a
 row per known n-gram and a column per label, plus a last row of unseen-gram
 fallbacks: a prediction is one n-gram extraction and one gather over that
 matrix (cf. the character n-gram features of fastText, Joulin et al. 2017).
@@ -38,8 +37,9 @@ the text size. Those sums add the terms in another order than
 (``_rounding_bound``): n terms of at most M in magnitude, added in any
 order, land within n * n * M * 2**-53 of the exact sum. A text whose
 top-two gap, or whose confidence's distance to ``min_confidence``, is
-within the bound is decided again by ``predict``, so labels and rejections
-equal ``predict``'s.
+within the bound is decided again by ``predict``, unless its lead makes
+both confidences exactly 1.0, so labels and rejections equal
+``predict``'s.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,17 +180,7 @@ def _normalize_block(lowered: list[str]) -> Iterator[str]:
         start = end
 
 
-@runtime_checkable
-class LanguageClassifier(Protocol):
-    """Plug-in contract: normalized UTF-8 text in, label + confidence out."""
-
-    @property
-    def labels(self) -> tuple[str, ...]: ...
-
-    def predict(self, normalized_text: str) -> LangPrediction: ...
-
-
-def classify(text: str, model: LanguageClassifier) -> LangPrediction:
+def classify(text: str, model: NgramLanguageClassifier) -> LangPrediction:
     """Predict the language of ``text`` with ``model``.
 
     Normalization is applied here (it is idempotent, so already-normalized
@@ -215,7 +205,7 @@ def in_language_share(seg_langs: Sequence[str], lang: str) -> float:
     return sum(1 for label in seg_langs if label == lang) / len(seg_langs)
 
 
-def profile_segments(doc: Document, model: LanguageClassifier) -> SegmentProfile:
+def profile_segments(doc: Document, model: NgramLanguageClassifier) -> SegmentProfile:
     """Classify each segment independently and measure the in-language share."""
     labels = tuple(classify(seg, model).label for seg in doc.segments)
     return SegmentProfile(labels, in_language_share(labels, doc.lang))
@@ -341,6 +331,10 @@ class NgramLanguageClassifier:
         for column, label in enumerate(self._labels):
             table = log_probs[label]
             matrix[[rows[g] for g in table], column] = list(table.values())
+        finite = np.isfinite(matrix).all(axis=0)
+        if not finite.all():
+            label = self._labels[int(np.argmin(finite))]
+            raise ClassifierError(f"label {label!r} has a non-finite log-probability")
         self._rows = rows
         self._matrix = matrix
         self._index: tuple[_KeyTable, np.ndarray, float] | None = None
@@ -561,9 +555,9 @@ class NgramLanguageClassifier:
         """Each text's label and confidence from its score ``sums``, and
         whether ``predict`` decided it again (``text(i)`` is the i-th text,
         of ``chars[i]`` characters): with no sums, or when its top-two gap,
-        or with ``min_confidence`` its confidence's distance to that, is
-        within the rounding bound. A tie is within any bound, so
-        ``predict``'s tie rule decides it."""
+        or with ``min_confidence`` its confidence's distance to that unless
+        it is surely 1.0, is within the rounding bound. A tie is within any
+        bound, so ``predict``'s tie rule decides it."""
         if sums is None:
             best, conf = np.zeros(len(chars), dtype=np.intp), np.zeros(len(chars))
             again = np.ones(len(chars), dtype=bool)
@@ -579,8 +573,14 @@ class NgramLanguageClassifier:
             # Written as "not clear of" so that a NaN sends the text to predict.
             again = ~(peak - runner_up > 2 * bound)
             if min_confidence is not None:
+                # Where every other label trails the peak by over 37 + ln L +
+                # 2 * bound, it trails by over 37 + ln L in predict too: each
+                # other term of a denominator is below e**-37 / L, their sum
+                # below e**-37 < 2**-53, so both denominators, and confidences,
+                # round to exactly 1.0 in any order. NaN fails ">": predict.
+                sure = peak - runner_up > 37 + math.log(n_labels) + 2 * bound
                 slack = conf * (5 * bound + (n_labels + 2) * 2.0**-50)
-                again |= ~(np.abs(conf - min_confidence) > slack)
+                again |= ~sure & ~(np.abs(conf - min_confidence) > slack)
         labels = [self._labels[i] for i in best.tolist()]
         confidences = conf.tolist()
         for i in np.flatnonzero(again).tolist():

@@ -17,7 +17,6 @@ from . import zstdio
 from .documents import Corpus, Document, _parse_jsonl, serialize_document, write_atomic
 from .wds import wds_level
 
-BIN_LEVELS = (5, 6, 7, 8, 9, 10)
 UNBINNED = "unbinned"
 
 

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -594,6 +596,32 @@ def test_classifier_with_bad_orders_exits_1_with_one_line(tmp_path, capsys, orde
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["gram", "fallback"])
+def test_classifier_with_non_finite_log_probability_exits_1_with_one_line(
+    tmp_path, capsys, value, where
+):
+    # "y" is a gram of bbb_Latn's, and "z" is unseen: bbb_Latn scores it at its fallback.
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x y z"}\n')
+    grams, fallbacks = {"x": -1.0, "y": -1.5}, {"aaa_Latn": -2.0, "bbb_Latn": -2.0}
+    if where == "gram":
+        grams["y"] = value
+    else:
+        fallbacks["bbb_Latn"] = value
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"log_probs": {"aaa_Latn": {"x": -1.0}, "bbb_Latn": grams},
+         "fallback_log_probs": fallbacks, "orders": [1]}))
+    config = _lid_config(tmp_path, "corpus.jsonl", classifier_path="model.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["lid", "--config", str(config)]) == 1
+    assert not caught
+    assert capsys.readouterr().err == (
+        f"refinery: lid failed: cannot load classifier from {tmp_path / 'model.json'}: "
+        "label 'bbb_Latn' has a non-finite log-probability\n"
+    )
+
+
 def test_negative_dedup_bands_and_rows_are_a_config_error(tmp_path, capsys):
     config = _lid_config(tmp_path, "corpus.jsonl")
     (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
@@ -827,6 +855,18 @@ def test_compare_runs_reports_identical_and_differing_trees(tmp_path):
         outputs.append((result.returncode, lines[-1]))
     assert outputs[0][0] == 0 and outputs[0][1].startswith("outputs identical: ")
     assert outputs[1] == (1, "outputs differ: analyze/analytics.json, analyze/analytics.txt")
+
+
+def test_importing_the_package_loads_no_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys, types, refinery\n"
+              "print(sorted(m for m in sys.modules if m.startswith(('refinery.', 'numpy'))))\n"
+              "import refinery.dedup\n"
+              "print(isinstance(refinery.dedup, types.ModuleType),"
+              " refinery.dedup.dedup.__name__)")
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                            check=True, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == ["[]", "True dedup"]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():

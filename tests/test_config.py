@@ -62,7 +62,7 @@ def test_unknown_section_field_named(tmp_path):
 
 def test_invalid_parameter_ranges_diagnosed(tmp_path):
     payload = _minimal(tmp_path)
-    payload["dedup"] = {"bands": 3, "rows": 5}  # 15 != 256
+    payload["dedup"] = {"bands": 0, "rows": 16}
     with pytest.raises(ConfigError, match="dedup"):
         load_config(_write(tmp_path, payload))
 
@@ -167,6 +167,14 @@ def test_workers_is_an_unknown_field(tmp_path):
         payload = {**_minimal(tmp_path), "workers": workers}
         with pytest.raises(ConfigError, match="workers: unknown field"):
             load_config(_write(tmp_path, payload))
+
+
+def test_signature_length_is_an_unknown_field(tmp_path, capsys):
+    # The signature length is bands * rows; no config sets it.
+    path = _write(tmp_path, {**_minimal(tmp_path), "dedup": {"signature_length": 256}})
+    assert main(["all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "refinery: config error: dedup.signature_length: unknown field\n")
 
 
 @pytest.mark.parametrize("level", [0, 23, 99, "9", 9.0])

@@ -233,6 +233,9 @@ class TestLsh:
         with pytest.raises(DedupConfigError):
             lsh_candidates({"x": signature(s, 64, 0)}, bands=10, rows=10)
 
+    def test_signature_length_is_bands_times_rows(self):
+        assert DedupParams(bands=4, rows=8).signature_length == 32
+
     def test_matches_brute_force_band_comparison(self, rng):
         sets = {}
         for i in range(120):
@@ -619,7 +622,7 @@ def test_lsh_partition_matches_verifying_every_candidate_pair(rng, mode, exact, 
     # With one band of one row, a document shares a bucket with a chain's
     # end and middle alike, and only the middle may clear the threshold.
     for threshold in (0.3, 0.5, 0.8):
-        params = DedupParams(ngram_order=2, signature_length=bands * rows, bands=bands,
+        params = DedupParams(ngram_order=2, bands=bands,
                              rows=rows, verify_threshold=threshold, mode=mode,
                              exact_verification=exact)
         corpus = _chain_corpus(rng)

@@ -406,7 +406,8 @@ def test_predict_documents_reads_one_batch_ahead(three_alphabet_model):
     assert len(read) == math.ceil(lid._BATCH_CHARS / 14)
 
 
-def test_predict_documents_memory_on_one_long_document(three_alphabet_model):
+@pytest.mark.parametrize("min_confidence", [0.0, 0.5])
+def test_predict_documents_memory_on_one_long_document(three_alphabet_model, min_confidence):
     model, _ = three_alphabet_model
     rng = random.Random(3)
     words = ["".join(rng.choice(_CYRILLIC) for _ in range(rng.randint(2, 8))) for _ in range(500)]
@@ -414,12 +415,13 @@ def test_predict_documents_memory_on_one_long_document(three_alphabet_model):
     assert 1.9e6 < sum(map(len, segments)) < 2.1e6
     size = sys.getsizeof(segments) + sum(map(sys.getsizeof, segments))
     next(model.predict_documents([["абв"]], 0.0))  # builds the key table
-    # At min_confidence 0.0, as score runs the pass: above it, the rounding
-    # bound of a text this long sends it back to predict, which holds every
-    # n-gram of it.
+    # At min_confidence 0.0, as score runs the pass, and at 0.5: the rounding
+    # bound of a text this long is too wide to place its confidence beside
+    # 0.5, but its peak leads by so much that the confidence is exactly 1.0,
+    # so it is not sent back to predict, which would hold every n-gram of it.
     tracemalloc.start()
     try:
-        ((prediction, labels, rescored),) = model.predict_documents([segments], 0.0)
+        ((prediction, labels, rescored),) = model.predict_documents([segments], min_confidence)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
