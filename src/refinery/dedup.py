@@ -390,7 +390,12 @@ def _cluster_buckets(
                         failed.add((other, row))
                         continue
                     _merge(uf, similarity, other, row, score)
-                    joined += present.pop(root)
+                    # Take the component's list itself when the row brings
+                    # none, so a large cluster is not copied once per row.
+                    if joined:
+                        joined += present.pop(root)
+                    else:
+                        joined = present.pop(root)
                     break
             joined.append(row)
             present[uf.find(row)] = joined

@@ -7,14 +7,22 @@ and maximum, two-level mean (within category, then across categories) to a
 language score, then cross-language aggregation by mean score, mean rank,
 or Borda count. Seven signal criteria decide which tasks are informative
 enough to keep.
+
+``load_grid`` reads the score table in chunks of ``_CHUNK_LINES`` lines,
+so the reader's memory is bounded by one chunk. A chunk's lines are
+decoded by the C scanner of ``json`` and its rows checked column by
+column, then inserted whole; a chunk that fails any check goes through
+the per-row reference path (``json.loads``, then ``_score_cell``), which
+names the first bad line in file order.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -53,15 +61,16 @@ class TaskBlock:
     no prompt is scored. ``at`` maps each axis's keys to their positions.
     """
 
-    def __init__(self, cells: list[tuple[Cell, float]]):
-        axes = [sorted({cell[k] for cell, _ in cells}) for k in (0, 2, 3)]
+    def __init__(self, cells: list[Cell], scores: Iterable[float]):
+        models, _, prompts, checkpoints = zip(*cells)
+        columns = (models, prompts, checkpoints)
+        axes = [sorted(set(column)) for column in columns]
         self.models, self.prompts, self.checkpoints = map(tuple, axes)
         self.at = [{key: i for i, key in enumerate(axis)} for axis in axes]
-        model_at, prompt_at, checkpoint_at = self.at
-        index = tuple(np.array([(model_at[m], prompt_at[p], checkpoint_at[c])
-                                for (m, _, p, c), _ in cells]).T)
+        index = tuple(np.fromiter(map(at.__getitem__, column), np.intp, len(cells))
+                      for at, column in zip(self.at, columns))
         self.values = np.full(tuple(map(len, axes)), -np.inf)
-        self.values[index] = [score for _, score in cells]
+        self.values[index] = np.fromiter(scores, float, len(cells))
         self.best = self.values.max(axis=1)
 
 
@@ -75,17 +84,25 @@ class EvalGrid:
     blocks: dict[str, TaskBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups: dict[str, list[tuple[Cell, float]]] = {}
-        for cell, score in self.scores.items():
-            if cell[1] not in self.tasks:
-                raise GridError(f"score references unknown task {cell[1]!r}")
-            if not math.isfinite(score):
-                raise GridError(f"non-finite score at ({', '.join(map(str, cell))})")
-            groups.setdefault(cell[1], []).append((cell, score))
+        scores = self.scores
+        groups: dict[str, list[Cell]] = {}
+        for cell in scores:
+            groups.setdefault(cell[1], []).append(cell)
+        try:
+            valid = (groups.keys() <= self.tasks.keys()
+                     and all(map(math.isfinite, scores.values())))
+        except TypeError:
+            valid = False
+        if not valid:  # name the first bad cell
+            for cell, score in scores.items():
+                if cell[1] not in self.tasks:
+                    raise GridError(f"score references unknown task {cell[1]!r}")
+                if not math.isfinite(score):
+                    raise GridError(f"non-finite score at ({', '.join(map(str, cell))})")
         object.__setattr__(self, "blocks", {})
         for task, cells in groups.items():
             try:
-                self.blocks[task] = TaskBlock(cells)
+                self.blocks[task] = TaskBlock(cells, map(scores.__getitem__, cells))
             except TypeError as exc:  # keys that do not sort together: 0 and "p0"
                 raise GridError(f"task {task!r} mixes key types: {exc}") from None
 
@@ -473,23 +490,136 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
 
     scores_path = Path(scores_path)
     scores: dict[Cell, float] = {}
-    for number, row in _score_rows(scores_path):
+    with scores_path.open(newline="", encoding="utf-8") as fh:
+        try:
+            if scores_path.suffix == ".csv":
+                _read_csv(scores_path, fh, tasks, scores)
+            else:
+                _read_jsonl(scores_path, fh, tasks, scores)
+        except UnicodeDecodeError:
+            read_utf8(scores_path)  # raises, naming the line and the byte offset
+            raise
+    return EvalGrid(scores, tasks)
+
+
+# Rows are read, checked and inserted this many lines at a time, which
+# bounds the memory the reader holds beyond the grid itself.
+_CHUNK_LINES = 512
+_FIELDS = ("model", "task", "prompt", "checkpoint_tokens", "score")
+_KEY_TYPES = {str, int, float, bool}  # a JSON value that is neither null, a list nor an object
+
+
+def _chunks(rows: Iterator) -> Iterator[list]:
+    """Lists of up to ``_CHUNK_LINES`` items of ``rows``. When reading fails,
+    the items read before the failure come first, then the exception."""
+    while True:
+        chunk: list = []
+        try:
+            chunk.extend(islice(rows, _CHUNK_LINES))
+        except Exception:
+            yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _read_jsonl(path: Path, fh, tasks: Mapping[str, TaskMeta], scores: dict) -> None:
+    scan = json.JSONDecoder().scan_once
+    first = 1
+    for lines in _chunks(fh):
+        rows = _scan_lines(scan, lines)
+        if rows is None or not _insert_rows(rows, tasks, scores):
+            _insert_each(path, _parse_lines(path, first, lines), tasks, scores)
+        first += len(lines)
+
+
+def _read_csv(path: Path, fh, tasks: Mapping[str, TaskMeta], scores: dict) -> None:
+    import csv  # only CSV tables need it
+
+    reader = csv.DictReader(fh)
+    try:
+        for numbered in _chunks((reader.line_num, row) for row in reader):
+            rows = [row for _, row in numbered]
+            if not _insert_rows(rows, tasks, scores):
+                _insert_each(path, numbered, tasks, scores)
+    except csv.Error as exc:
+        raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _scan_lines(scan, lines: list[str]) -> tuple | None:
+    """Each non-blank line's JSON value, when each line is exactly one value
+    between its first character and its line ending; else None."""
+    try:
+        # scan_once ends the map early, by raising StopIteration, at a line
+        # that holds no value from its first character: a blank line, leading
+        # whitespace or a truncated row. The ends below count the rows.
+        decoded = list(map(scan, lines, repeat(0)))
+        if len(decoded) != len(lines):
+            lines = [line for line in lines if line.strip()]
+            decoded = list(map(scan, lines, repeat(0)))
+    except (ValueError, RecursionError):
+        return None
+    rows, ends = zip(*decoded) if decoded else ((), ())
+    if list(ends) != list(map(len, map(str.rstrip, lines, repeat("\r\n")))):
+        return None  # a row missing, or whitespace or a second value after one
+    return rows
+
+
+def _insert_rows(rows, tasks: Mapping[str, TaskMeta], scores: dict) -> bool:
+    """Check ``rows`` column by column and insert their cells into
+    ``scores``; False, and ``scores`` unchanged, when any check fails."""
+    if set(map(type, rows)) != {dict}:
+        return False
+    try:
+        models, task_names, prompts, checkpoints, values = (
+            list(map(itemgetter(name), rows)) for name in _FIELDS)
+        checkpoints = list(map(int, checkpoints))
+        values = list(map(float, values))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    if not (all(set(map(type, keys)) <= _KEY_TYPES for keys in (models, task_names, prompts))
+            and set(task_names).issubset(tasks) and all(map(math.isfinite, values))):
+        return False
+    chunk = dict(zip(zip(models, task_names, prompts, checkpoints), values))
+    if len(chunk) != len(rows) or not scores.keys().isdisjoint(chunk):
+        return False  # a repeated cell
+    scores.update(chunk)
+    return True
+
+
+def _parse_lines(path: Path, first: int, lines: list[str]) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's JSON value with its 1-based line number."""
+    for number, line in enumerate(lines, start=first):
+        if line.strip():
+            try:
+                row = json.loads(line.rstrip("\r\n"))
+            except json.JSONDecodeError as exc:
+                raise GridError(f"{path}:{number}: malformed JSON: {exc.msg} "
+                                f"(column {exc.colno})") from exc
+            yield number, row
+
+
+def _insert_each(path: Path, numbered_rows: Iterable[tuple[int, object]],
+                 tasks: Mapping[str, TaskMeta], scores: dict) -> None:
+    """The reference path: check and insert row by row, raising for the first
+    bad row in file order."""
+    for number, row in numbered_rows:
         try:
             cell, score = _score_cell(row, tasks)
             if cell in scores:
                 raise ValueError(f"duplicate score row {row!r}: (model, task, prompt, "
                                  "checkpoint_tokens) already has a score")
         except ValueError as exc:
-            raise GridError(f"{scores_path}:{number}: {exc}") from exc
+            raise GridError(f"{path}:{number}: {exc}") from exc
         scores[cell] = score
-    return EvalGrid(scores, tasks)
 
 
 def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
     """The cell and score of one parsed row; ValueError says what is wrong."""
     if not isinstance(row, dict):
         raise ValueError("score row is not a JSON object")
-    for name in ("model", "task", "prompt", "checkpoint_tokens", "score"):
+    for name in _FIELDS:
         if row.get(name) is None:
             raise ValueError(f"score row is missing field {name!r}")
         if isinstance(row[name], (list, dict)):  # unhashable: cannot key a cell
@@ -504,34 +634,6 @@ def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
     if not math.isfinite(score):
         raise ValueError(f"non-finite score {score}")
     return cell, score
-
-
-def _score_rows(path: Path) -> Iterator[tuple[int, object]]:
-    """Each score row with its 1-based line number (a CSV row's last line)."""
-    try:
-        yield from _parse_score_rows(path)
-    except UnicodeDecodeError:
-        read_utf8(path)  # raises, naming the line and the byte offset
-        raise
-
-
-def _parse_score_rows(path: Path) -> Iterator[tuple[int, object]]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        if path.suffix == ".csv":
-            reader = csv.DictReader(fh)
-            try:
-                yield from ((reader.line_num, row) for row in reader)
-            except csv.Error as exc:
-                raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
-            return
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    row = json.loads(line.rstrip("\r\n"))
-                except json.JSONDecodeError as exc:
-                    raise GridError(f"{path}:{number}: malformed JSON: {exc.msg} "
-                                    f"(column {exc.colno})") from exc
-                yield number, row
 
 
 def render_ranking(report: MultilingualReport) -> str:
