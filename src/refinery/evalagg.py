@@ -8,12 +8,12 @@ language score, then cross-language aggregation by mean score, mean rank,
 or Borda count. Seven signal criteria decide which tasks are informative
 enough to keep.
 
-``load_grid`` reads the score table in chunks of ``_CHUNK_LINES`` lines,
-so the reader's memory is bounded by one chunk. A chunk's lines are
-decoded by the C scanner of ``json`` and its rows checked column by
+``load_grid`` reads a JSONL score table in chunks of ``_CHUNK_LINES``
+lines, so the reader's memory is bounded by one chunk. A chunk's lines
+are decoded by the C scanner of ``json`` and its rows checked column by
 column, then inserted whole; a chunk that fails any check goes through
 the per-row reference path (``json.loads``, then ``_score_cell``), which
-names the first bad line in file order.
+names the first bad line in file order. CSV rows take the per-row path.
 """
 
 from __future__ import annotations
@@ -539,10 +539,7 @@ def _read_csv(path: Path, fh, tasks: Mapping[str, TaskMeta], scores: dict) -> No
 
     reader = csv.DictReader(fh)
     try:
-        for numbered in _chunks((reader.line_num, row) for row in reader):
-            rows = [row for _, row in numbered]
-            if not _insert_rows(rows, tasks, scores):
-                _insert_each(path, numbered, tasks, scores)
+        _insert_each(path, ((reader.line_num, row) for row in reader), tasks, scores)
     except csv.Error as exc:
         raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
 

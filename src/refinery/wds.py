@@ -109,12 +109,7 @@ def compute_subsignals(doc: Document, tokens: list[str] | None = None) -> dict[s
     non_letter_ratio, digit_ratio = _char_ratios(doc.text)
     repeated = 1.0 - len(set(segments)) / len(segments) if segments else 0.0
     avg_segment_tokens = len(tokens) / len(segments) if segments else 0.0
-    # A token whose lower case starts with a prefix puts "http" or "www."
-    # into the text's lower case: only ASCII letters (and ".") lower to a
-    # string that starts with one of them.
-    lowered = doc.text.lower()
-    url_count = (sum(1 for t in tokens if t.lower().startswith(_URL_PREFIXES))
-                 if "http" in lowered or "www." in lowered else 0)
+    url_count = sum(1 for t in tokens if t.lower().startswith(_URL_PREFIXES))
     url_density = 100.0 * url_count / len(tokens) if tokens else 0.0
     return {
         "non_letter_ratio": non_letter_ratio,

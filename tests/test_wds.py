@@ -157,18 +157,6 @@ class TestOddity:
         signals = compute_subsignals(_doc(text))
         assert signals["url_density"] == pytest.approx(100.0 * 50 / 150 if counted else 0.0)
 
-    def test_url_prefilter_misses_no_url_token(self):
-        # compute_subsignals walks the tokens only when the text's lower case
-        # holds "http" or "www.": safe while no code point but these lowers
-        # to a string that starts with one of their letters.
-        starts = {ch: [] for ch in "htpw."}
-        for code_point in range(0x110000):
-            lowered = chr(code_point).lower()
-            if lowered[:1] in starts:
-                starts[lowered[:1]].append(chr(code_point))
-        assert starts == {"h": ["H", "h"], "t": ["T", "t"], "p": ["P", "p"],
-                          "w": ["W", "w"], ".": ["."]}
-
     def test_char_ratios_match_the_per_character_loop(self, rng):
         from refinery.wds import _char_ratios
 
