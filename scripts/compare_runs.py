@@ -8,8 +8,11 @@ Each run is a fresh child process, ``python3 -m refinery.cli`` with
 current directory with ``--output`` pointing at a directory of its own.
 Pairs alternate which side goes first (A B, B A, A B, ...). For each run
 the script prints its wall seconds and its peak RSS as ``os.wait4``
-reports it, which includes worker processes; then each side's medians,
-and whether every run wrote byte-identical files, apart from
+reports it, which includes worker processes; then each side's medians;
+then, for wall time and for peak RSS, in how many pairs B was lower (a tie
+counts for neither side), the gap between the medians and the
+interquartile range of A's runs, the figures a claim that B is better is
+judged by; and whether every run wrote byte-identical files, apart from
 ``wall_time_seconds`` in ``report.json``, to those of the first run of A.
 It exits 0 when the outputs are identical, 1 when they are not and 2 when
 a run fails.
@@ -18,6 +21,7 @@ a run fails.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -30,18 +34,26 @@ from pathlib import Path
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
-    """Relative path -> bytes of every file under ``root``, without the
-    wall-clock field of its run reports."""
+    """Relative path -> SHA-256 digest of every file under ``root``, without
+    the wall-clock field of its run reports. Files are hashed a block at a
+    time: a child started from this process reports this process's peak RSS
+    as its own when that is the larger (Linux keeps the high-water mark of
+    the address space a child replaces at exec), so this process must stay
+    small."""
     out = {}
     for path in sorted(root.rglob("*")):
         if not path.is_file():
             continue
-        data = path.read_bytes()
         if path.name == "report.json":
-            report = json.loads(data)
+            report = json.loads(path.read_bytes())
             report.pop("wall_time_seconds", None)
-            data = json.dumps(report, sort_keys=True).encode()
-        out[str(path.relative_to(root))] = data
+            digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+        else:
+            digest = hashlib.sha256()
+            with path.open("rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+        out[str(path.relative_to(root))] = digest.digest()
     return out
 
 
@@ -60,6 +72,14 @@ def run(src: Path, args: list[str], out: Path) -> tuple[int, float, float]:
     if code != 0:
         sys.stderr.write(stderr.decode("utf-8", "replace"))
     return code, wall, usage.ru_maxrss / 1024.0
+
+
+def iqr(values: list[float]) -> float:
+    """The distance between the quartiles of ``values`` (0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return high - low
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,6 +117,13 @@ def main(argv: list[str] | None = None) -> int:
         walls, rsses = zip(*results[side])
         print(f"{side} median: {statistics.median(walls):8.2f} s "
               f"{statistics.median(rsses):9.1f} MB  ({src})")
+    for column, (name, unit) in enumerate((("wall", "s"), ("peak RSS", "MB"))):
+        a = [run[column] for run in results["A"]]
+        b = [run[column] for run in results["B"]]
+        won = sum(y < x for x, y in zip(a, b))
+        gap = statistics.median(a) - statistics.median(b)
+        print(f"{name}: B lower in {won} of {len(a)} pairs, median gap {gap:.3f} {unit}, "
+              f"A's IQR {iqr(a):.3f} {unit}")
     if differing:
         print("outputs differ: " + ", ".join(sorted(differing)))
         return 1

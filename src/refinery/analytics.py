@@ -9,19 +9,24 @@ pipeline: trimmed non-empty lines, held as strings, and whitespace
 tokens, counted where a statistic reads them. An empty corpus gives a
 report of zeros.
 
-``top_ngrams`` counts over integer token ids in a few dozen bytes per
-token. Lowercased tokens stream through one vocabulary dict into one flat
-id array, beside a stopword flag and the tokens left in the segment from
-each position, in ``int32`` while the token count fits. The n-grams at
-each position are ranked from the order below: ``np.argsort`` sorts the
-``int64`` keys ``rank[i] * V + id[i + n - 1]`` (V the vocabulary size)
-and a running sum of key changes numbers them, so equal ranks mean equal
-n-grams. A window of order n counts if n tokens are left at its start and
-no stopword is at either edge. ``np.partition`` finds the k-th largest
+``top_ngrams`` counts over integer token ids in about 24 bytes per token
+at its peak, plus the vocabulary. Lowercased tokens stream through one
+vocabulary dict straight into one flat ``int32`` id array, beside a
+stopword flag per position and the tokens left in the segment from each
+position, capped at the top order and held in ``uint8``. The n-grams at
+each position are ranked from the order below: ``np.argsort`` orders the
+``int64`` keys ``rank[i] * V + id[i + n - 1]`` (V the vocabulary size), key
+changes are read a slice of that order at a time, with no sorted copy of
+the keys, and a running count of them numbers the n-grams, so equal ranks
+mark equal n-grams. Each array is let go as soon as it is used. A window
+of order n counts if n tokens are left at its start and no stopword is at
+either edge. The histogram of the counts gives the k-th largest
 count; the grams counted at least that often are joined into strings a
-fixed-size slice at a time, and ``heapq.nsmallest`` keeps the top k by
-(-count, joined string). Ties break on the joined string, not on the
-token tuple: the orders differ for tokens with characters below ``" "``.
+fixed-size slice of ranks at a time, each from one window found in a
+slice-wise pass over the counted positions, and ``heapq.nsmallest`` keeps
+the top k by (-count, joined string). Ties break on the joined string, not
+on the token tuple: the orders differ for tokens with characters below
+``" "``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ LARGE_DOCUMENT_SEGMENTS = 25  # "large" means strictly more segments than this
 SHORT_SEGMENT_TOKENS = 3  # "short" means strictly fewer tokens than this
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 TOP_NGRAMS = 5
-DECODE_SLICE = 4096  # tied candidate n-grams joined into strings at once
+DECODE_SLICE = 4096  # grams whose candidates are joined into strings at once
+RANK_SLICE = 1 << 16  # positions per slice of a rank or window pass
 
 @dataclass(frozen=True)
 class CorpusSummary:
@@ -143,7 +149,7 @@ def top_ngrams(
     """
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # a new token's id is the vocabulary size
-    stream, lengths = array("q"), array("q")
+    stream, lengths = array("i"), array("q")
     for doc in corpus:
         for seg in doc.segments:
             before = len(stream)
@@ -151,35 +157,70 @@ def top_ngrams(
             lengths.append(len(stream) - before)
     if (len(stream) + 1) * (len(vocab) + 1) > np.iinfo(np.int64).max:
         raise OverflowError(f"{len(stream)} tokens are too many to key n-grams in int64")
-    dtype = np.int32 if len(stream) < np.iinfo(np.int32).max else np.int64
-    ids = np.asarray(stream).astype(dtype)
-    del stream
-    # The tokens from each position to the end of its segment, itself included.
-    left = np.repeat(np.cumsum(lengths, dtype=dtype), lengths)
-    left -= np.arange(len(ids), dtype=dtype)
+    vocab.default_factory = None  # no cycle keeps the dict once it is dropped
+    ids = np.frombuffer(stream, np.intc)  # a view: the ids are not copied
+    dtype = np.int32 if len(ids) < np.iinfo(np.int32).max else np.int64
+    top = max(orders, default=0)
+    # The tokens from each position to the end of its segment, itself
+    # included, capped at the top order: only order n >= that count is asked.
+    left = np.full(len(ids), top, np.min_scalar_type(top))
+    sizes = np.frombuffer(lengths, np.int64)
+    ends = np.cumsum(sizes)
+    for j in range(1, top):
+        left[ends[sizes >= j] - j] = j
+    del lengths, sizes, ends
+    content = np.fromiter(map(stopwords.__contains__, vocab), bool, len(vocab))[ids]
+    np.logical_not(content, out=content)
     words = np.array(list(vocab), dtype=object)
-    is_stop = np.fromiter(map(stopwords.__contains__, vocab), bool, len(vocab))
-    content = ~is_stop[ids]
+    del vocab
     found: dict[int, list[tuple[str, int]]] = {}
-    rank = ids  # equal ranks mark equal n-grams starting at those positions
-    for n in range(1, max(orders, default=0) + 1):
+    # Equal ranks mark equal n-grams starting at those positions; ranks and
+    # window starts share the dtype that holds every position.
+    rank = ids.astype(dtype, copy=False)
+    for n in range(1, top + 1):
         if n > 1:
+            # Sorting the keys rank * V + id groups equal n-grams.
             key = rank[:-1].astype(np.int64)
             del rank
-            key *= len(vocab)
+            key *= len(words)
             key += ids[n - 1 :]
             order = np.argsort(key)
-            key = key[order]
-            fresh = np.concatenate(([False], key[1:] != key[:-1]))  # the smallest key ranks 0
+            fresh = _key_changes(key, order)
             del key
-            rank = np.empty(len(order), dtype)
-            rank[order] = np.cumsum(fresh, dtype=dtype)
+            rank = _numbered(fresh, order, dtype)
             del order, fresh
         if n in orders:
-            m = len(rank)
-            counted = (left[:m] >= n) & content[:m] & content[n - 1 :]
+            counted = left[: len(rank)] >= n
+            counted &= content[: len(rank)]
+            counted &= content[n - 1 :]
             found[n] = _most_frequent(n, rank, counted, ids, words, top_k)
+            del counted
     return NgramReport({n: found[n] for n in orders})
+
+
+def _key_changes(key: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Whether each key, taken in ``order``, differs from the one before it
+    (the first does not). Keys are compared a slice of ``order`` at a time,
+    so no sorted copy of them is held."""
+    fresh = np.zeros(len(order), bool)
+    for lo in range(0, len(order), RANK_SLICE):
+        run = key[order[lo : lo + RANK_SLICE + 1]]
+        np.not_equal(run[1:], run[:-1], out=fresh[lo + 1 : lo + len(run)])
+    return fresh
+
+
+def _numbered(fresh: np.ndarray, order: np.ndarray, dtype) -> np.ndarray:
+    """Each position's rank: the running count of key changes up to its
+    place in ``order``, so the smallest key ranks 0 and equal keys rank
+    alike."""
+    rank = np.empty(len(order), dtype)
+    base = 0
+    for lo in range(0, len(order), RANK_SLICE):
+        numbers = np.cumsum(fresh[lo : lo + RANK_SLICE], dtype=dtype)
+        numbers += base
+        rank[order[lo : lo + RANK_SLICE]] = numbers
+        base = numbers[-1]
+    return rank
 
 
 def _most_frequent(
@@ -191,22 +232,25 @@ def _most_frequent(
     top_k: int,
 ) -> list[tuple[str, int]]:
     """Top k (n-gram, count) pairs over the windows where ``counted`` holds."""
-    starts = np.flatnonzero(counted)
-    ranks = rank[starts]
-    start_of = np.empty(ranks.max(initial=-1) + 1, ids.dtype)  # one window of each gram
-    start_of[ranks] = starts
-    del starts
-    counts = np.bincount(ranks, minlength=len(start_of))
-    del ranks
+    counts = np.bincount(rank[counted])
     k = min(max(top_k, 0), np.count_nonzero(counts))
     if k == 0:
         return []
     # Only grams counted at least as often as the k-th largest count can
-    # make the top k; decode them a slice at a time from those windows.
-    kept = np.flatnonzero(counts >= np.partition(counts, len(counts) - k)[-k])
+    # make the top k; the histogram of counts finds that count without a
+    # partitioned copy of the counts.
+    at_least = np.cumsum(np.bincount(counts)[::-1])  # grams counted >= max, max - 1, ...
+    least = len(at_least) - 1 - np.searchsorted(at_least, k)
+    start_of = np.empty(len(counts), rank.dtype)  # one window of each gram
+    for lo in range(0, len(counted), RANK_SLICE):
+        at = np.flatnonzero(counted[lo : lo + RANK_SLICE])
+        at += lo
+        start_of[rank[at]] = at
+    # Decode the candidates a slice of grams at a time from those windows.
     best: list[tuple[int, str]] = []
-    for lo in range(0, len(kept), DECODE_SLICE):
-        part = kept[lo : lo + DECODE_SLICE]
+    for lo in range(0, len(counts), DECODE_SLICE):
+        part = np.flatnonzero(counts[lo : lo + DECODE_SLICE] >= least)
+        part += lo
         windows = start_of[part, None] + np.arange(n)
         grams = map(" ".join, words[ids[windows]].tolist())
         best = heapq.nsmallest(k, chain(best, zip((-counts[part]).tolist(), grams)))

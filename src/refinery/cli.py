@@ -20,7 +20,7 @@ the segments of documents without ``seg_langs`` the same way. lid's
 verdict ``predict`` decided again (``exact_rescored``). Every stage runs
 in one process: dedup signs its documents serially, in blocks, with a fast
 similarity sketch of about k ln k hash mixes per document. Every file is
-written atomically (``write_atomic``).
+written atomically (``write_atomic``), a JSONL file one line at a time.
 REFINERY_LOG sets the log level.
 """
 
@@ -124,10 +124,10 @@ def stage_dedup(
     config: PipelineConfig, base: Path, docs: list[Document], out_dir: Path
 ) -> StageResult:
     result = dedup(Corpus(docs, config.language), config.dedup)
-    log_lines = "".join(
-        json.dumps(rec.to_json(), ensure_ascii=False) + "\n" for rec in result.removals
-    )
-    write_atomic(out_dir / "removal_log.jsonl", log_lines.encode("utf-8"))
+    write_atomic(out_dir / "removal_log.jsonl", (
+        f"{json.dumps(rec.to_json(), ensure_ascii=False)}\n".encode("utf-8")
+        for rec in result.removals
+    ))
     counters = {
         "verified_pairs": result.verified_pairs,
         "largest_cluster": result.largest_cluster,

@@ -288,12 +288,14 @@ def read_documents(path: str | Path) -> list[Document]:
     return _parse_jsonl(data, path)
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers see the old file or the new one.
+def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, bytes or an iterable of byte chunks, to ``path`` so
+    readers see the old file or the new one.
 
-    The bytes go to a sibling temp file with a per-process unique name,
-    opened exclusively (so its mode follows the umask), which then replaces
-    the target; the temp file is removed if any step fails.
+    The chunks go one by one to a sibling temp file with a per-process
+    unique name, opened exclusively (so its mode follows the umask), which
+    then replaces the target; the temp file is removed if any step fails,
+    an exception raised while the chunks are produced included.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -301,7 +303,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -309,9 +314,14 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def write_documents(docs: Iterable[Document], path: str | Path) -> None:
-    """Write documents atomically as JSONL, zstd-compressed when path ends in .zst."""
+    """Write documents atomically as JSONL, zstd-compressed when path ends in .zst.
+
+    A plain file is written a line at a time, so no copy of the whole file
+    is held; a ``.zst`` file is compressed in one shot.
+    """
     path = Path(path)
-    payload = "".join(serialize_document(d) + "\n" for d in docs).encode("utf-8")
+    lines = (f"{serialize_document(d)}\n".encode("utf-8") for d in docs)
     if path.suffix == ".zst":
-        payload = zstdio.compress(payload)
-    write_atomic(path, payload)
+        write_atomic(path, zstdio.compress(b"".join(lines)))
+    else:
+        write_atomic(path, lines)

@@ -67,9 +67,9 @@ from .documents import Document, DocumentError, read_utf8, segment_text, write_a
 # characters so the output is uppercase-free by construction.
 _KEEP_CATEGORIES = frozenset({"Ll", "Lm", "Lo", "Mn", "Mc", "Me"})
 
-# Window starts per block of predict_documents' kernel, and characters per
-# block of normalize_many: the kernel's arrays take a few hundred bytes per
-# start, so a block's transient memory stays a few MB.
+# Window starts per block of predict_documents' kernel and of _char_ngrams,
+# and characters per block of normalize_many: the kernel's arrays take a few
+# hundred bytes per start, so a block's transient memory stays a few MB.
 _BLOCK_CHARS = 1 << 14
 # Segment characters per batch of predict_documents: a batch ends with the
 # document that brings it to this size, so a larger document is one batch.
@@ -213,13 +213,19 @@ def profile_segments(doc: Document, model: NgramLanguageClassifier) -> SegmentPr
 
 def _char_ngrams(text: str, orders: tuple[int, ...]) -> Counter:
     """Counts of every n-gram of each order, keyed in first-occurrence order
-    (all grams of the first order, then of the next)."""
-    level = list(text)
-    by_order = {1: level}
-    for n in range(2, max(orders, default=1) + 1):
-        # Each order-n gram is an order-(n-1) gram plus the next character.
-        level = by_order[n] = list(map(add, level, text[n - 1 :]))
-    return Counter(chain.from_iterable(by_order[n] for n in orders))
+    (all grams of the first order, then of the next). Each order is counted
+    ``_BLOCK_CHARS`` windows at a time through lazy maps, so beyond the
+    counts only a block's slices of the text are held."""
+    counts: Counter = Counter()
+    for n in orders:
+        for lo in range(0, len(text) - n + 1, _BLOCK_CHARS):
+            hi = lo + _BLOCK_CHARS
+            grams = text[lo:hi]
+            for k in range(1, n):
+                # Each order-(k+1) gram is an order-k gram plus the next character.
+                grams = map(add, grams, text[lo + k : hi + k])
+            counts.update(grams)
+    return counts
 
 
 def _pack(gram: str) -> int:

@@ -102,7 +102,7 @@ def compress(data: bytes, level: int = 9) -> bytes:
     bound = _lib.ZSTD_compressBound(len(data))
     dst = ctypes.create_string_buffer(bound)
     written = _check(_lib.ZSTD_compress(dst, bound, data, len(data), level))
-    return dst.raw[:written]
+    return ctypes.string_at(dst, written)
 
 
 def decompress(data: bytes) -> bytes:
@@ -118,8 +118,9 @@ def decompress(data: bytes) -> bytes:
         raise ZstdError("ZSTD_createDStream failed")
     try:
         out_parts: list[bytes] = []
-        src = ctypes.create_string_buffer(data, len(data))
-        in_buf = _InBuffer(ctypes.cast(src, ctypes.c_void_p), len(data), 0)
+        # The decoder reads the bytes object's own buffer, which a local
+        # name keeps alive for the whole call.
+        in_buf = _InBuffer(ctypes.cast(data, ctypes.c_void_p), len(data), 0)
         dst = ctypes.create_string_buffer(_OUT_CHUNK)
         frame_offset = 0
         _check(_lib.ZSTD_initDStream(stream))
@@ -132,7 +133,7 @@ def decompress(data: bytes) -> bytes:
                 frame_offset=frame_offset,
             )
             if out_buf.pos:
-                out_parts.append(dst.raw[: out_buf.pos])
+                out_parts.append(ctypes.string_at(dst, out_buf.pos))
             if ret == 0:
                 if in_buf.pos == in_buf.size:
                     break

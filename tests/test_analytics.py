@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from refinery import analytics
 from refinery.analytics import (
     analyze_corpus,
     corpus_summary,
@@ -224,6 +225,21 @@ class TestNgrams:
             report = top_ngrams(corpus, stopwords, (5,), k)
             assert report.top[5] == sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
+    @pytest.mark.parametrize("rank_slice", [1, 2, 3, 64])
+    def test_rank_and_window_passes_in_small_slices(self, rng, monkeypatch, rank_slice):
+        # Key changes and ranks carry across slice edges, and a gram's window
+        # may come from any slice.
+        monkeypatch.setattr(analytics, "RANK_SLICE", rank_slice)
+        monkeypatch.setattr(analytics, "DECODE_SLICE", 5)
+        stopwords = frozenset({"data", "the", "web"})
+        for _ in range(4):
+            corpus = make_corpus(rng, rng.randint(1, 12))
+            report = top_ngrams(corpus, stopwords, (1, 2, 3, 4, 5), 7)
+            for order in (1, 2, 3, 4, 5):
+                brute = _brute_force_ngrams(corpus, stopwords, order)
+                expected = sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))[:7]
+                assert report.top[order] == expected, order
+
     def test_segments_of_every_length_around_order_five(self, rng):
         # Each segment holds 1 to 6 tokens from a small pool, so windows of
         # order 5 and 6 fit some segments exactly and miss others by one.
@@ -244,7 +260,10 @@ class TestNgrams:
         # About 200k tokens over 20k words, in which nearly every 5-gram
         # occurs once. Holding a corpus-wide token list and np.unique's
         # int64 temporaries, counting peaked at 230 traced bytes per token
-        # on this corpus; streaming ids in int32 takes about 50.
+        # on this corpus; streaming ids through an int64 array, with int32
+        # tokens-left and a sorted copy of each order's keys, about 50; ids
+        # filled straight into int32, tokens-left in uint8 and key changes
+        # found a slice at a time, about 37.
         seeded = random.Random(14)
         words = [f"w{i:05d}" for i in range(20000)]
         texts, tokens = [], 0
@@ -261,7 +280,7 @@ class TestNgrams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / tokens <= 94, peak / tokens
+        assert peak / tokens <= 42, peak / tokens
 
     def test_no_edge_stopwords_property(self, rng):
         stopwords = frozenset({"data", "corpus", "line"})

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -850,11 +852,23 @@ def test_compare_runs_reports_identical_and_differing_trees(tmp_path):
             cwd=tmp_path, capture_output=True, text=True, timeout=300,
         )
         lines = result.stdout.splitlines()
-        assert [line.split(":")[0] for line in lines[:4]] == [
-            "A run 1", "B run 1", "A median", "B median"], result.stderr
+        assert [line.split(":")[0] for line in lines[:6]] == [
+            "A run 1", "B run 1", "A median", "B median", "wall", "peak RSS"], result.stderr
+        assert re.fullmatch(r"peak RSS: B lower in [01] of 1 pairs, median gap -?[0-9.]+ MB, "
+                            r"A's IQR 0\.000 MB", lines[5]), lines[5]
         outputs.append((result.returncode, lines[-1]))
     assert outputs[0][0] == 0 and outputs[0][1].startswith("outputs identical: ")
     assert outputs[1] == (1, "outputs differ: analyze/analytics.json, analyze/analytics.txt")
+
+
+def test_compare_runs_iqr_is_the_distance_between_quartiles():
+    spec = importlib.util.spec_from_file_location(
+        "compare_runs", _REPO / "scripts" / "compare_runs.py")
+    compare_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_runs)
+    assert compare_runs.iqr([5.0, 1.0, 4.0, 2.0, 3.0]) == 2.0
+    assert compare_runs.iqr([1.0, 2.0, 3.0, 4.0]) == 1.5
+    assert compare_runs.iqr([7.0]) == 0.0
 
 
 def test_importing_the_package_loads_no_module():

@@ -259,6 +259,35 @@ def test_failed_atomic_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeyp
         write_atomic(target, b"new bytes\n")
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+    monkeypatch.undo()
+    # A write that fails mid-stream: UTF-8 cannot encode the last document's
+    # unpaired surrogate, after the lines before it have reached the temp file.
+    docs = [Document(id=f"d{i}", lang="l", text="x" * 1000) for i in range(100)]
+    docs.append(Document(id="bad", lang="l", text="\ud800"))
+    with pytest.raises(UnicodeEncodeError):
+        write_documents(docs, target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+
+
+def test_writing_documents_holds_no_copy_of_the_file(tmp_path):
+    # Lines go to the temp file one at a time. Joining the file into one str
+    # and encoding it held at least twice the file's size.
+    seeded = random.Random(22)
+    docs = [Document(id=f"d{i}", lang="l", text=" ".join(
+                seeded.choices(["alpha", "beta", "gamma", "δέλτα"], k=200)))
+            for i in range(1200)]
+    path = tmp_path / "docs.jsonl"
+    tracemalloc.start()
+    try:
+        write_documents(docs, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < 0.25 * size, (peak, size)
+    assert read_documents(path) == docs
 
 
 def test_atomic_write_creates_parents_and_follows_umask(tmp_path):

@@ -432,6 +432,39 @@ def test_predict_documents_memory_on_one_long_document(three_alphabet_model, min
     assert peak < 3 * size, (peak, size)
 
 
+def _reference_ngrams(text: str, orders: tuple[int, ...]) -> Counter:
+    return Counter(text[i : i + n] for n in orders for i in range(len(text) - n + 1))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
+@pytest.mark.parametrize("orders", [(1, 2, 3), (3, 1), (2, 1, 2), (5,)])
+def test_char_ngrams_keep_keys_and_key_order_across_blocks(monkeypatch, block, orders):
+    monkeypatch.setattr(lid, "_BLOCK_CHARS", block)
+    for text in ("", "a", "ab", "abc", "abcab cab", "жж ab жжж абаб ab"):
+        got = lid._char_ngrams(text, orders)
+        assert list(got.items()) == list(_reference_ngrams(text, orders).items())
+
+
+def test_predict_on_a_long_text_holds_its_distinct_grams_only(three_alphabet_model):
+    # predict counts each order a block of windows at a time through lazy
+    # maps, so it holds about one text's size in distinct grams here. Holding
+    # every gram of the text as a string in one list per order traced 136
+    # times the text's size (281.7 MB at 1.94 M characters).
+    model, _ = three_alphabet_model
+    rng = random.Random(11)
+    words = ["".join(rng.choice(_LATIN) for _ in range(rng.randint(2, 8))) for _ in range(500)]
+    text = normalize_for_lid(" ".join(rng.choices(words, k=100_000)))
+    assert len(text) > 400_000
+    tracemalloc.start()
+    try:
+        prediction = model.predict(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prediction.label == "lat"
+    assert peak < 2 * sys.getsizeof(text), (peak, sys.getsizeof(text))
+
+
 def _tied_model(delta: float) -> NgramLanguageClassifier:
     """Two labels whose tables differ only in the log-probability of "b",
     by ``delta``: every text without a "b" is an exact tie."""
