@@ -1,10 +1,12 @@
 """Pipeline configuration: one declarative YAML or JSON file.
 
-Every section maps onto the owning module's parameter dataclass. One
-recursive `_build` checks each key against its dataclass field: unknown
-keys, missing required fields and values of the wrong type (NaN is not a
-number) are rejected with the dotted key named, and referenced paths are
-checked at validation time.
+This module defines every section's dataclass, the settings each stage
+takes included; the stage modules (dedup, wds, packaging, evalagg)
+re-export theirs. It imports no stage module and no numpy, so loading a
+config loads no stage. One recursive `_build` checks each key against its
+dataclass field: unknown keys, missing required fields and values of the
+wrong type (NaN is not a number) are rejected with the dotted key named,
+and referenced paths are checked at validation time.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
-from .dedup import DedupParams
 from .documents import DocumentError, read_utf8
-from .evalagg import RANKING_MODES, SelectionThresholds
-from .packaging import PackagingConfig
-from .wds import WdsConfig
 
 
 class ConfigError(ValueError):
@@ -32,10 +30,98 @@ class LidSettings:
     min_confidence: float = 0.0
 
 
+class DedupConfigError(ValueError):
+    """Invalid deduplication parameters."""
+
+
+@dataclass(frozen=True)
+class DedupParams:
+    ngram_order: int = 5
+    seed: int = 0
+    bands: int = 16
+    rows: int = 16
+    verify_threshold: float = 0.8
+    mode: str = "global"  # global | per_crawl
+    exact_verification: bool = False
+    candidates: str = "lsh"  # lsh | all_pairs
+
+    def __post_init__(self):
+        if self.ngram_order < 1:
+            raise DedupConfigError("ngram_order must be >= 1")
+        if self.bands < 1 or self.rows < 1:
+            raise DedupConfigError("bands and rows must be >= 1")
+        if not 0.0 <= self.verify_threshold <= 1.0:
+            raise DedupConfigError("verify_threshold must lie in [0, 1]")
+        if self.mode not in ("global", "per_crawl"):
+            raise DedupConfigError(f"unknown mode {self.mode!r}")
+        if self.candidates not in ("lsh", "all_pairs"):
+            raise DedupConfigError(f"unknown candidate scheme {self.candidates!r}")
+
+    @property
+    def signature_length(self) -> int:
+        return self.bands * self.rows
+
+
+# The subsignals that the oddity penalty weighs, each against the config
+# field "<name>_threshold"; they are the only allowed ``weights`` keys.
+PENALIZED_SUBSIGNALS = (
+    "non_letter_ratio",
+    "digit_ratio",
+    "repeated_line_ratio",
+    "url_density",
+)
+
+
+@dataclass(frozen=True)
+class WdsConfig:
+    min_length_tokens: int = 20
+    target_length_tokens: int = 200
+    # Oddity thresholds; exceedance above each is penalized.
+    non_letter_ratio_threshold: float = 0.3
+    digit_ratio_threshold: float = 0.2
+    repeated_line_ratio_threshold: float = 0.2
+    url_density_threshold: float = 0.1  # URLs per 100 tokens
+    # Equal weights by default; a subsignal left out weighs 1.0.
+    weights: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PENALIZED_SUBSIGNALS, 1.0)
+    )
+    # Documents below this level are removed as below_wds; None keeps all.
+    min_level: int | None = None
+
+    def __post_init__(self):
+        for name in self.weights:
+            if name not in PENALIZED_SUBSIGNALS:
+                raise ValueError(
+                    f"unknown weights key {name!r} (allowed: "
+                    f"{', '.join(PENALIZED_SUBSIGNALS)})"
+                )
+
+
+@dataclass(frozen=True)
+class PackagingConfig:
+    max_uncompressed_bytes: int = 1 << 30
+    compression_level: int = 9
+    sort_descending: bool = True
+
+
 @dataclass(frozen=True)
 class AnalyticsSettings:
     stopword_file: str | None = None
     reference_total_tokens: int | None = None
+
+
+RANKING_MODES = ("consecutive", "vs_final")
+
+
+@dataclass(frozen=True)
+class SelectionThresholds:
+    monotonicity: float = 0.5  # pass when value >= threshold
+    non_randomness: float = 0.05  # >=
+    ranking_consistency: float = 0.5  # >=
+    prompt_lottery: float = 0.5  # pass when value <= threshold
+    stable_pretraining: float | None = None  # <= when configured
+    low_noise: float | None = None  # >= when configured
+    low_prompt_sensitivity: float | None = None  # <= when configured
 
 
 @dataclass(frozen=True)
@@ -181,9 +267,11 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _check_range(value: float, where: str, low: float, high: float) -> None:
-    if not low <= value <= high:
-        raise ConfigError(f"{where}: must be in [{low}, {high}], got {value}")
+def _check_range(value: float, where: str, low: float, high: float | None = None) -> None:
+    """``value`` lies in [low, high], or is at least ``low`` with no ``high``."""
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{where}: must be {bound}, got {value}")
 
 
 def load_config(path: str | Path, overrides: Iterable[str] = ()) -> PipelineConfig:
@@ -210,6 +298,13 @@ def load_config(path: str | Path, overrides: Iterable[str] = ()) -> PipelineConf
     _apply_overrides(raw, overrides)
     config = _build(PipelineConfig, raw, "")
     _check_range(config.packaging.compression_level, "packaging.compression_level", 1, 22)
+    # A shard limit below 1 byte fits no document, and package would fail
+    # only after lid, dedup and score had run; a reference total of 0 or
+    # less gives no share (0 would act as null, a negative one a negative share).
+    _check_range(config.packaging.max_uncompressed_bytes, "packaging.max_uncompressed_bytes", 1)
+    if config.analytics.reference_total_tokens is not None:
+        _check_range(config.analytics.reference_total_tokens,
+                     "analytics.reference_total_tokens", 1)
     _check_range(config.lid.min_confidence, "lid.min_confidence", 0, 1)
     if config.wds.min_level is not None:
         _check_range(config.wds.min_level, "wds.min_level", 0, 10)

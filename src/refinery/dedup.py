@@ -48,6 +48,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .config import DedupConfigError, DedupParams
 from .documents import Corpus, Document
 from .lid import _batches, normalize_for_lid, normalize_many
 
@@ -62,10 +63,10 @@ _NO_HASH = np.iinfo(np.uint64).max  # an empty component; no value reaches it
 # pairs mixed at once. 2**16 signed the 20k-document demo fixture some 20%
 # faster but raised the boilerplate benchmark's peak RSS by about 1 MB.
 _SIGN_BLOCK = 1 << 14
-
-
-class DedupConfigError(ValueError):
-    """Invalid deduplication parameters."""
+# Rounds after which a block whose open rows show many repeated hashes
+# keeps one copy of each: a row of a few shingles repeated many times would
+# otherwise cost every repeat a mix in each of some k ln k rounds.
+_DISTINCT_AFTER = 7  # the round batches of 1, 2 and 4
 
 
 class EmptyShingleSetError(ValueError):
@@ -83,34 +84,6 @@ class MinHashSignature:
     values: tuple[int, ...]
     k: int
     seed: int
-
-
-@dataclass(frozen=True)
-class DedupParams:
-    ngram_order: int = 5
-    seed: int = 0
-    bands: int = 16
-    rows: int = 16
-    verify_threshold: float = 0.8
-    mode: str = "global"  # global | per_crawl
-    exact_verification: bool = False
-    candidates: str = "lsh"  # lsh | all_pairs
-
-    def __post_init__(self):
-        if self.ngram_order < 1:
-            raise DedupConfigError("ngram_order must be >= 1")
-        if self.bands < 1 or self.rows < 1:
-            raise DedupConfigError("bands and rows must be >= 1")
-        if not 0.0 <= self.verify_threshold <= 1.0:
-            raise DedupConfigError("verify_threshold must lie in [0, 1]")
-        if self.mode not in ("global", "per_crawl"):
-            raise DedupConfigError(f"unknown mode {self.mode!r}")
-        if self.candidates not in ("lsh", "all_pairs"):
-            raise DedupConfigError(f"unknown candidate scheme {self.candidates!r}")
-
-    @property
-    def signature_length(self) -> int:
-        return self.bands * self.rows
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -159,7 +132,10 @@ def _sign(hashes: list[np.ndarray], seed: int, out: np.ndarray) -> None:
     change nothing) into the rows of ``out``, a C-contiguous
     ``uint64[len(hashes), k]``; see the module docstring. Rounds run in
     batches of 1, 2, 4, ... over the documents not yet full, mixing at
-    most ``_SIGN_BLOCK`` (round, shingle) pairs at once."""
+    most ``_SIGN_BLOCK`` (round, shingle) pairs at once. After
+    ``_DISTINCT_AFTER`` rounds, if some open row is mostly repeats, the
+    open rows drop their repeated hashes, so a document of one repeated
+    shingle costs a mix per round, not one per token."""
     k = out.shape[1]
     out.fill(_NO_HASH)
     flat = out.reshape(-1)
@@ -168,6 +144,10 @@ def _sign(hashes: list[np.ndarray], seed: int, out: np.ndarray) -> None:
     offset = np.repeat(np.arange(0, len(hashes) * k, k, dtype=np.uint64), lengths)
     first, width = 0, 1
     while len(x):
+        if first == _DISTINCT_AFTER and _mostly_repeats(out, lengths, first):
+            x, offset = _distinct_per_row(x, offset)
+            lengths = np.bincount((offset // np.uint64(k)).astype(np.intp),
+                                  minlength=len(hashes))
         seeds = _round_seeds(seed, first, width)[:, None]
         rounds = np.arange(first, first + width, dtype=np.uint64)[:, None] << np.uint64(40)
         step = max(1, _SIGN_BLOCK // width)
@@ -184,6 +164,26 @@ def _sign(hashes: list[np.ndarray], seed: int, out: np.ndarray) -> None:
         keep = np.repeat(still_open, lengths)
         lengths[~still_open] = 0
         x, offset = x[keep], offset[keep]
+
+
+def _mostly_repeats(out: np.ndarray, lengths: np.ndarray, rounds: int) -> bool:
+    """Whether some row of ``lengths`` hashes has fewer than half of them
+    distinct, judged by its empty components: after ``rounds`` rounds, d
+    distinct hashes leave about k exp(-rounds d / k) of k empty."""
+    k = out.shape[1]
+    empty = (out == _NO_HASH).sum(axis=1)
+    return bool((empty > k * np.exp(-rounds * lengths / (2 * k))).any())
+
+
+def _distinct_per_row(x: np.ndarray, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One copy of each (row offset, hash) pair, rows still in order. Sorted
+    with ``np.lexsort`` and a change mask: ``np.unique`` would load numpy.ma."""
+    order = np.lexsort((x, offset))
+    x, offset = x[order], offset[order]
+    del order
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) | (offset[1:] != offset[:-1])
+    return x[keep], offset[keep]
 
 
 def shingle(doc: Document, n: int) -> ShingleSet:

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .config import RANKING_MODES, SelectionThresholds
 from .documents import read_utf8
 
 Cell = tuple[str, str, str, int]  # (model, task, prompt, checkpoint_tokens)
@@ -306,8 +307,6 @@ def kendall_tau(xs: list[float], ys: list[float]) -> float:
     return (concordant - discordant) / denom if denom else 0.0
 
 
-RANKING_MODES = ("consecutive", "vs_final")
-
 CRITERIA = (
     "monotonicity",
     "stable_pretraining",
@@ -317,17 +316,6 @@ CRITERIA = (
     "low_prompt_sensitivity",
     "prompt_lottery",
 )
-
-
-@dataclass(frozen=True)
-class SelectionThresholds:
-    monotonicity: float = 0.5  # pass when value >= threshold
-    non_randomness: float = 0.05  # >=
-    ranking_consistency: float = 0.5  # >=
-    prompt_lottery: float = 0.5  # pass when value <= threshold
-    stable_pretraining: float | None = None  # <= when configured
-    low_noise: float | None = None  # >= when configured
-    low_prompt_sensitivity: float | None = None  # <= when configured
 
 
 @dataclass(frozen=True)

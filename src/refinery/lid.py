@@ -320,6 +320,9 @@ class NgramLanguageClassifier:
         if not orders or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
                                  for n in orders):
             raise ClassifierError(f"orders must be positive integers, not {list(orders)!r}")
+        unscored = [label for label in sorted(log_probs) if label not in fallback_log_probs]
+        if unscored:
+            raise ClassifierError(f"fallback_log_probs has no entry for label {unscored[0]!r}")
         self._log_probs = log_probs
         self._fallback = fallback_log_probs
         self._orders = orders
@@ -606,6 +609,11 @@ class NgramLanguageClassifier:
     def load(cls, path: str | Path) -> "NgramLanguageClassifier":
         try:
             payload = json.loads(read_utf8(path))
+            if not isinstance(payload, dict):
+                raise ClassifierError("expected a JSON object")
+            for name in ("log_probs", "fallback_log_probs", "orders"):
+                if name not in payload:
+                    raise ClassifierError(f"missing field {name!r}")
             return cls(
                 payload["log_probs"],
                 payload["fallback_log_probs"],

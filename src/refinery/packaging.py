@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import zstdio
+from .config import PackagingConfig
 from .documents import Corpus, Document, _parse_jsonl, serialize_document, write_atomic
 from .wds import wds_level
 
@@ -29,13 +30,6 @@ class ShardReadError(IOError):
         super().__init__(f"{path}: {message}")
         self.path = str(path)
         self.frame_offset = frame_offset
-
-
-@dataclass(frozen=True)
-class PackagingConfig:
-    max_uncompressed_bytes: int = 1 << 30
-    compression_level: int = 9
-    sort_descending: bool = True
 
 
 @dataclass(frozen=True)

@@ -11,46 +11,14 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .config import PENALIZED_SUBSIGNALS, WdsConfig
 # Document.segments is segment_text's one caller; the name stays bound here
 # because the benchmark's tracer test expects it in this module.
 from .documents import Corpus, Document, segment_text  # noqa: F401
 
 _URL_PREFIXES = ("http://", "https://", "www.")
-# The subsignals that the oddity penalty weighs, each against the config
-# field "<name>_threshold"; they are the only allowed ``weights`` keys.
-PENALIZED_SUBSIGNALS = (
-    "non_letter_ratio",
-    "digit_ratio",
-    "repeated_line_ratio",
-    "url_density",
-)
-
-
-@dataclass(frozen=True)
-class WdsConfig:
-    min_length_tokens: int = 20
-    target_length_tokens: int = 200
-    # Oddity thresholds; exceedance above each is penalized.
-    non_letter_ratio_threshold: float = 0.3
-    digit_ratio_threshold: float = 0.2
-    repeated_line_ratio_threshold: float = 0.2
-    url_density_threshold: float = 0.1  # URLs per 100 tokens
-    # Equal weights by default; a subsignal left out weighs 1.0.
-    weights: dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(PENALIZED_SUBSIGNALS, 1.0)
-    )
-    # Documents below this level are removed as below_wds; None keeps all.
-    min_level: int | None = None
-
-    def __post_init__(self):
-        for name in self.weights:
-            if name not in PENALIZED_SUBSIGNALS:
-                raise ValueError(
-                    f"unknown weights key {name!r} (allowed: "
-                    f"{', '.join(PENALIZED_SUBSIGNALS)})"
-                )
 
 
 @dataclass(frozen=True)

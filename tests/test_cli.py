@@ -570,6 +570,27 @@ def test_malformed_classifier_file_exits_1_with_one_line(tmp_path, capsys, text)
     assert str(tmp_path / "model.json") in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"fallback_log_probs": {"a": -2.0}, "orders": [1]}, "missing field 'log_probs'"),
+    ({"log_probs": {"a": {"x": -1.0}}, "orders": [1]}, "missing field 'fallback_log_probs'"),
+    ({"log_probs": {"a": {"x": -1.0}}, "fallback_log_probs": {"a": -2.0}},
+     "missing field 'orders'"),
+    ({"log_probs": {"a": {"x": -1.0}, "b": {"y": -1.0}}, "fallback_log_probs": {"b": -2.0},
+      "orders": [1]}, "fallback_log_probs has no entry for label 'a'"),
+    (["log_probs"], "expected a JSON object"),
+    ("model", "expected a JSON object"),
+], ids=["no-log-probs", "no-fallbacks", "no-orders", "no-fallback-for-label", "list", "string"])
+def test_classifier_file_missing_a_field_names_it(tmp_path, capsys, payload, message):
+    (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    config = _lid_config(tmp_path, "corpus.jsonl", classifier_path="model.json")
+    assert main(["lid", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"refinery: lid failed: cannot load classifier from {tmp_path / 'model.json'}: "
+        f"{message}\n"
+    )
+
+
 def test_classifier_without_labels_exits_1_with_one_line(tmp_path, capsys):
     (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')
     (tmp_path / "model.json").write_text(
@@ -726,11 +747,11 @@ def _env_with_src() -> dict[str, str]:
     return env
 
 
-def _demo_fixture(tmp_path, docs: int):
+def _demo_fixture(tmp_path, docs: int, labels: int = 2):
     """Write scripts/make_fixture.py's demo corpus and config; the config's path."""
     subprocess.run(
         [sys.executable, str(_REPO / "scripts" / "make_fixture.py"), str(tmp_path),
-         "--docs", str(docs)],
+         "--docs", str(docs), "--labels", str(labels)],
         check=True, env=_env_with_src(), capture_output=True,
     )
     return tmp_path / "pipeline.json"
@@ -739,6 +760,17 @@ def _demo_fixture(tmp_path, docs: int):
 def test_demo_fixture_script_runs_end_to_end(tmp_path):
     assert main(["all", "--config", str(_demo_fixture(tmp_path, 60))]) == 0
     assert (tmp_path / "out" / "analyze" / "analytics.json").exists()
+
+
+def test_fixture_with_32_labels_runs_lid(tmp_path):
+    config = _demo_fixture(tmp_path, 60, labels=32)
+    seeds = json.loads(config.read_text(encoding="utf-8"))["lid"]["seed_texts"]
+    texts = {(tmp_path / path).read_text(encoding="utf-8") for path in seeds.values()}
+    assert len(seeds) == len(texts) == 32
+    assert len({label.split("_")[1] for label in seeds}) > 8  # several scripts
+    assert main(["lid", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "lid" / "report.json").read_text(encoding="utf-8"))
+    assert report["input_documents"] == 60 and report["output_documents"] > 0
 
 
 def test_score_labels_unlabeled_input_as_lid_does(tmp_path):

@@ -1,7 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
@@ -305,3 +310,56 @@ def test_nan_or_out_of_range_number_exits_2_naming_the_key(tmp_path, capsys, key
     path = _write(tmp_path, _minimal(tmp_path))
     assert main(["all", "--config", str(path), "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err == f"refinery: config error: {key}: {message}\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("packaging.max_uncompressed_bytes", 0),
+    ("packaging.max_uncompressed_bytes", -1),
+    ("analytics.reference_total_tokens", 0),
+    ("analytics.reference_total_tokens", -5),
+])
+def test_value_that_could_only_fail_later_exits_2_before_any_stage(tmp_path, capsys, key, value):
+    # A shard limit below 1 would fail package only after lid, dedup and
+    # score had written their outputs; a reference total below 1 would
+    # report a negative share, or none at all for 0.
+    path = _write(tmp_path, _minimal(tmp_path))
+    assert main(["all", "--config", str(path), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"refinery: config error: {key}: must be at least 1, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["packaging.max_uncompressed_bytes",
+                                 "analytics.reference_total_tokens"])
+def test_least_allowed_value_loads(tmp_path, key):
+    config = load_config(_write(tmp_path, _minimal(tmp_path)), overrides=[f"{key}=1"])
+    assert attrgetter(key)(config) == 1
+
+
+# Each name a stage module takes from config, by the module that re-exports it.
+_MOVED = {"dedup": ("DedupConfigError", "DedupParams"),
+          "wds": ("PENALIZED_SUBSIGNALS", "WdsConfig"),
+          "packaging": ("PackagingConfig",),
+          "evalagg": ("RANKING_MODES", "SelectionThresholds")}
+
+
+def test_loading_a_config_loads_no_stage_and_no_numpy(tmp_path):
+    # Each short job pays for the modules its start-up imports; a config
+    # alone needs neither numpy nor any stage.
+    path = _write(tmp_path, _minimal(tmp_path))
+    unwanted = ("numpy", *(f"refinery.{m}" for m in (
+        "lid", "dedup", "evalagg", "packaging", "wds", "analytics", "stopwords")))
+    script = textwrap.dedent(f"""\
+        import importlib, sys
+        import refinery.config
+        refinery.config.load_config({str(path)!r})
+        print(*(m for m in {unwanted!r} if m in sys.modules))
+        for module, names in {_MOVED!r}.items():
+            stage = importlib.import_module("refinery." + module)
+            print(module, all(getattr(stage, n) is getattr(refinery.config, n) for n in names))
+        """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [""] + [f"{m} True" for m in _MOVED], result.stderr

@@ -677,6 +677,25 @@ def test_one_large_cluster_verifies_a_linear_number_of_pairs(rng, n):
     assert result.verified_pairs < n
 
 
+@pytest.mark.parametrize("tokens", [1000, 10000])
+def test_repeated_shingle_documents_sign_in_linear_time(monkeypatch, tokens):
+    # Two documents of one repeated word: every window is the same shingle,
+    # so a row fills one component per round and needs some k ln k rounds.
+    # Each round must mix the row's one distinct hash, not every repeat.
+    mixed = []
+    mix64 = dedup_module._mix64
+    monkeypatch.setattr(dedup_module, "_mix64", lambda z: mixed.append(z.size) or mix64(z))
+    docs = [Document(id=f"r{i}", lang="eng_Latn", text=" ".join(["word"] * tokens))
+            for i in range(2)]
+    result = dedup(Corpus(docs, "eng_Latn"), DedupParams())
+    assert [d.id for d in result.retained] == ["r0"]
+    assert sum(mixed) / (2 * tokens) < 16  # about 2,000 before repeats were dropped
+    repeated, once = np.empty((2, 256), dtype=np.uint64), np.empty((1, 256), dtype=np.uint64)
+    _sign([np.full(tokens, 7, dtype=np.uint64), np.arange(tokens, dtype=np.uint64)], 0, repeated)
+    _sign([np.array([7], dtype=np.uint64)], 0, once)
+    assert (repeated[0] == once[0]).all()
+
+
 def test_one_large_exact_cluster_matches_all_pairs(rng):
     text = _near_identical_corpus(rng, 1).documents[0].text
     docs = [Document(id=f"d{i:05d}", lang="eng_Latn", text=text,
