@@ -49,7 +49,6 @@ from .documents import (
     write_documents,
 )
 from .evalagg import (
-    GridError,
     language_score,
     load_grid,
     multilingual_scores,
@@ -377,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             run_stage(args.stage, config, base, input_path=args.input,
                       output_dir=args.output)
-    except (StageError, GridError, ConfigError, ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:  # GridError and ConfigError are ValueErrors
         print(f"refinery: {args.stage} failed: {exc}", file=sys.stderr)
         return 1
     return 0

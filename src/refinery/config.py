@@ -256,7 +256,8 @@ def _parse_yaml(text: str, where: str) -> Any:
 
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # ValueError: an over-long integer or an impossible date such as 2024-02-30
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{where}: {_one_line(exc)}") from exc
 
 
@@ -292,7 +293,7 @@ def load_config(path: str | Path, overrides: Iterable[str] = ()) -> PipelineConf
     else:
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
             raise ConfigError(f"cannot parse config {path}: {_one_line(exc)}") from exc
     raw = _mapping(raw, "")
     _apply_overrides(raw, overrides)

@@ -22,8 +22,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from . import zstdio
-
 REMOVED_REASONS = ("duplicate", "below_wds", "lid_rejected")
 
 # Known keys in serialization order; everything else lands in extras.
@@ -143,6 +141,8 @@ def parse_document_line(line: str) -> Document:
         raise DocumentError(
             f"malformed JSON at byte offset {byte_offset}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise DocumentError(f"unreadable JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("record is not a JSON object")
     if "\\ud" in line or "\\uD" in line:  # only an escape can hold a surrogate
@@ -175,7 +175,10 @@ def parse_document_line(line: str) -> Document:
     if wds is not None:
         if not isinstance(wds, (int, float)) or isinstance(wds, bool):
             raise DocumentError("field 'wds' must be a number")
-        wds = float(wds)
+        try:
+            wds = float(wds)
+        except OverflowError as exc:
+            raise DocumentError(f"field 'wds': {exc}") from exc
     try:
         return Document(
             id=raw["id"],
@@ -281,6 +284,8 @@ def read_documents(path: str | Path) -> list[Document]:
     path = Path(path)
     data = path.read_bytes()
     if path.suffix == ".zst":
+        from . import zstdio  # loads libzstd, so only for a compressed file
+
         try:
             data = zstdio.decompress(data)
         except zstdio.ZstdError as exc:
@@ -322,6 +327,8 @@ def write_documents(docs: Iterable[Document], path: str | Path) -> None:
     path = Path(path)
     lines = (f"{serialize_document(d)}\n".encode("utf-8") for d in docs)
     if path.suffix == ".zst":
+        from . import zstdio
+
         write_atomic(path, zstdio.compress(b"".join(lines)))
     else:
         write_atomic(path, lines)

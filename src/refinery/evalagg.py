@@ -8,12 +8,11 @@ language score, then cross-language aggregation by mean score, mean rank,
 or Borda count. Seven signal criteria decide which tasks are informative
 enough to keep.
 
-``load_grid`` reads a JSONL score table in chunks of ``_CHUNK_LINES``
-lines, so the reader's memory is bounded by one chunk. A chunk's lines
-are decoded by the C scanner of ``json`` and its rows checked column by
-column, then inserted whole; a chunk that fails any check goes through
-the per-row reference path (``json.loads``, then ``_score_cell``), which
-names the first bad line in file order. CSV rows take the per-row path.
+``load_grid`` reads a score table one row at a time. A JSONL line is
+decoded by the C scanner of ``json``; one that is not exactly one value up to its
+ending goes through ``json.loads``, which names what is malformed. Every
+row, JSONL or CSV, then takes one check, ``_score_cell``, and one
+duplicate check, so the first bad line in file order is the one named.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -457,9 +454,10 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
 
     Score rows carry model, task, prompt, checkpoint_tokens, score.
     """
+    meta_text = read_utf8(meta_path)
     try:
-        meta_raw = json.loads(read_utf8(meta_path))
-    except json.JSONDecodeError as exc:
+        meta_raw = json.loads(meta_text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise GridError(f"{meta_path}: malformed JSON: {exc}") from exc
     if not isinstance(meta_raw, dict):
         raise GridError(f"{meta_path}: task metadata must be a JSON object")
@@ -473,135 +471,81 @@ def load_grid(scores_path: str | Path, meta_path: str | Path) -> EvalGrid:
             raise GridError(
                 f"{meta_path}: task {name!r} is missing field {exc.args[0]!r}"
             ) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GridError(f"{meta_path}: task {name!r}: {exc}") from exc
 
     scores_path = Path(scores_path)
     scores: dict[Cell, float] = {}
     with scores_path.open(newline="", encoding="utf-8") as fh:
+        rows = (_csv_rows if scores_path.suffix == ".csv" else _jsonl_rows)(scores_path, fh)
         try:
-            if scores_path.suffix == ".csv":
-                _read_csv(scores_path, fh, tasks, scores)
-            else:
-                _read_jsonl(scores_path, fh, tasks, scores)
+            for number, row in rows:
+                try:
+                    cell, score = _score_cell(row, tasks)
+                    if cell in scores:
+                        raise ValueError(f"duplicate score row {row!r}: (model, task, "
+                                         "prompt, checkpoint_tokens) already has a score")
+                except ValueError as exc:
+                    raise GridError(f"{scores_path}:{number}: {exc}") from exc
+                scores[cell] = score
         except UnicodeDecodeError:
             read_utf8(scores_path)  # raises, naming the line and the byte offset
             raise
     return EvalGrid(scores, tasks)
 
 
-# Rows are read, checked and inserted this many lines at a time, which
-# bounds the memory the reader holds beyond the grid itself.
-_CHUNK_LINES = 512
 _FIELDS = ("model", "task", "prompt", "checkpoint_tokens", "score")
 _KEY_TYPES = {str, int, float, bool}  # a JSON value that is neither null, a list nor an object
+# What may follow a line's value: the file is opened with newline="", which
+# also ends a line at a lone "\r".
+_LINE_ENDS = {"", "\n", "\r", "\r\n"}
 
 
-def _chunks(rows: Iterator) -> Iterator[list]:
-    """Lists of up to ``_CHUNK_LINES`` items of ``rows``. When reading fails,
-    the items read before the failure come first, then the exception."""
-    while True:
-        chunk: list = []
-        try:
-            chunk.extend(islice(rows, _CHUNK_LINES))
-        except Exception:
-            yield chunk
-            raise
-        if not chunk:
-            return
-        yield chunk
-
-
-def _read_jsonl(path: Path, fh, tasks: Mapping[str, TaskMeta], scores: dict) -> None:
+def _jsonl_rows(path: Path, fh) -> Iterable[tuple[int, object]]:
+    """Each non-blank line's JSON value with its 1-based line number. A line
+    that is not exactly one value up to its ending goes through ``json.loads``,
+    which accepts surrounding whitespace and names what is malformed."""
     scan = json.JSONDecoder().scan_once
-    first = 1
-    for lines in _chunks(fh):
-        rows = _scan_lines(scan, lines)
-        if rows is None or not _insert_rows(rows, tasks, scores):
-            _insert_each(path, _parse_lines(path, first, lines), tasks, scores)
-        first += len(lines)
-
-
-def _read_csv(path: Path, fh, tasks: Mapping[str, TaskMeta], scores: dict) -> None:
-    import csv  # only CSV tables need it
-
-    reader = csv.DictReader(fh)
-    try:
-        _insert_each(path, ((reader.line_num, row) for row in reader), tasks, scores)
-    except csv.Error as exc:
-        raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
-def _scan_lines(scan, lines: list[str]) -> tuple | None:
-    """Each non-blank line's JSON value, when each line is exactly one value
-    between its first character and its line ending; else None."""
-    try:
-        # scan_once ends the map early, by raising StopIteration, at a line
-        # that holds no value from its first character: a blank line, leading
-        # whitespace or a truncated row. The ends below count the rows.
-        decoded = list(map(scan, lines, repeat(0)))
-        if len(decoded) != len(lines):
-            lines = [line for line in lines if line.strip()]
-            decoded = list(map(scan, lines, repeat(0)))
-    except (ValueError, RecursionError):
-        return None
-    rows, ends = zip(*decoded) if decoded else ((), ())
-    if list(ends) != list(map(len, map(str.rstrip, lines, repeat("\r\n")))):
-        return None  # a row missing, or whitespace or a second value after one
-    return rows
-
-
-def _insert_rows(rows, tasks: Mapping[str, TaskMeta], scores: dict) -> bool:
-    """Check ``rows`` column by column and insert their cells into
-    ``scores``; False, and ``scores`` unchanged, when any check fails."""
-    if set(map(type, rows)) != {dict}:
-        return False
-    try:
-        models, task_names, prompts, checkpoints, values = (
-            list(map(itemgetter(name), rows)) for name in _FIELDS)
-        checkpoints = list(map(int, checkpoints))
-        values = list(map(float, values))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return False
-    if not (all(set(map(type, keys)) <= _KEY_TYPES for keys in (models, task_names, prompts))
-            and set(task_names).issubset(tasks) and all(map(math.isfinite, values))):
-        return False
-    chunk = dict(zip(zip(models, task_names, prompts, checkpoints), values))
-    if len(chunk) != len(rows) or not scores.keys().isdisjoint(chunk):
-        return False  # a repeated cell
-    scores.update(chunk)
-    return True
-
-
-def _parse_lines(path: Path, first: int, lines: list[str]) -> Iterator[tuple[int, object]]:
-    """Each non-blank line's JSON value with its 1-based line number."""
-    for number, line in enumerate(lines, start=first):
-        if line.strip():
+    for number, line in enumerate(fh, start=1):
+        try:
+            row, end = scan(line, 0)
+            whole = line[end:] in _LINE_ENDS
+        except (StopIteration, ValueError, RecursionError):
+            whole = False
+        if not whole:
+            if not line.strip():
+                continue
             try:
                 row = json.loads(line.rstrip("\r\n"))
             except json.JSONDecodeError as exc:
                 raise GridError(f"{path}:{number}: malformed JSON: {exc.msg} "
                                 f"(column {exc.colno})") from exc
-            yield number, row
+            except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                raise GridError(f"{path}:{number}: unreadable JSON: {exc}") from exc
+        yield number, row
 
 
-def _insert_each(path: Path, numbered_rows: Iterable[tuple[int, object]],
-                 tasks: Mapping[str, TaskMeta], scores: dict) -> None:
-    """The reference path: check and insert row by row, raising for the first
-    bad row in file order."""
-    for number, row in numbered_rows:
-        try:
-            cell, score = _score_cell(row, tasks)
-            if cell in scores:
-                raise ValueError(f"duplicate score row {row!r}: (model, task, prompt, "
-                                 "checkpoint_tokens) already has a score")
-        except ValueError as exc:
-            raise GridError(f"{path}:{number}: {exc}") from exc
-        scores[cell] = score
+def _csv_rows(path: Path, fh) -> Iterable[tuple[int, object]]:
+    import csv  # only CSV tables need it
+
+    reader = csv.DictReader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise GridError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _score_cell(row, tasks: Mapping[str, TaskMeta]) -> tuple[Cell, float]:
     """The cell and score of one parsed row; ValueError says what is wrong."""
+    try:  # the common case; a task in ``tasks`` is a string
+        cell = (row["model"], row["task"], row["prompt"], int(row["checkpoint_tokens"]))
+        score = float(row["score"])
+        if (type(cell[0]) in _KEY_TYPES and type(cell[2]) in _KEY_TYPES
+                and cell[1] in tasks and math.isfinite(score)):
+            return cell, score
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
     if not isinstance(row, dict):
         raise ValueError("score row is not a JSON object")
     for name in _FIELDS:

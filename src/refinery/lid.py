@@ -622,5 +622,5 @@ class NgramLanguageClassifier:
         except DocumentError as exc:
             raise ClassifierError(str(exc)) from exc
         except (ClassifierError, OSError, KeyError, ValueError, TypeError,
-                AttributeError) as exc:
+                AttributeError, OverflowError, RecursionError) as exc:
             raise ClassifierError(f"cannot load classifier from {path}: {exc}") from exc

@@ -558,6 +558,65 @@ def test_unreadable_input_exits_1_with_one_line(tmp_path, capsys, name, data):
     assert str(tmp_path / name) in err
 
 
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
+_DEEP_YAML = "[" * 5_000 + "]" * 5_000
+_LONG_INT = "1" * 5_000  # past CPython's 4,300-digit limit on int from a string
+_HUGE_INT = str(10**400)  # an int, but too big for a float
+_DOCUMENT = '{"id": "a", "lang": "aaa_Latn", "text": "x"'
+_SCORE_ROW = '{"model": "m", "task": "t", "prompt": "p", "checkpoint_tokens": %s, "score": 0.5'
+_TASK_META = '{"t": {"random_baseline": %s, "max_score": 1.0, "category": "c", "language": "l"}'
+_CLASSIFIER = ('{"orders": [1], "log_probs": {"aaa_Latn": {"x": -1.0}}, '
+               '"fallback_log_probs": {"aaa_Latn": %s}')
+
+
+# (stage, the file changed and its text, extra arguments, exit code, where the message points)
+@pytest.mark.parametrize("stage, name, text, extra, code, where", [
+    ("dedup", "corpus.jsonl", f'{_DOCUMENT}, "x": {_DEEP_JSON}}}\n', [], 1, "corpus.jsonl:1"),
+    ("eval-agg", "scores.jsonl", f'{_SCORE_ROW % 1}, "x": {_DEEP_JSON}}}\n', [], 1,
+     "scores.jsonl:1"),
+    ("eval-agg", "tasks.json", f'{_TASK_META % 0.25}, "x": {_DEEP_JSON}}}', [], 1, "tasks.json"),
+    ("lid", "model.json", f'{_CLASSIFIER % -2.0}, "x": {_DEEP_JSON}}}', [], 1, "model.json"),
+    ("lid", "cfg.json", f'"x": {_DEEP_JSON}', [], 2, "cfg.json"),
+    ("lid", "cfg.yaml", f'"x": {_DEEP_YAML}', [], 2, "cfg.yaml"),
+    ("lid", "cfg.json", f'"dedup": {{"seed": {_LONG_INT}}}', [], 2, "cfg.json"),
+    ("lid", "cfg.yaml", f'"dedup": {{"seed": {_LONG_INT}}}', [], 2, "cfg.yaml"),
+    ("lid", None, None, ["--set", f"dedup.seed={_LONG_INT}"], 2, "override 'dedup.seed'"),
+    ("dedup", "corpus.jsonl", f'{_DOCUMENT}, "wds": {_LONG_INT}}}\n', [], 1, "corpus.jsonl:1"),
+    ("eval-agg", "scores.jsonl", f"{_SCORE_ROW % _LONG_INT}}}\n", [], 1, "scores.jsonl:1"),
+    ("dedup", "corpus.jsonl", f'{_DOCUMENT}, "wds": {_HUGE_INT}}}\n', [], 1, "corpus.jsonl:1"),
+    ("eval-agg", "tasks.json", f"{_TASK_META % _HUGE_INT}}}", [], 1, "tasks.json"),
+    ("lid", "model.json", f"{_CLASSIFIER % ('-' + _HUGE_INT)}}}", [], 1, "model.json"),
+    ("lid", "cfg.yaml", '"dedup": {"seed": 2024-02-30}', [], 2, "cfg.yaml"),
+    ("lid", None, None, ["--set", "dedup.seed=2024-02-30"], 2, "override 'dedup.seed'"),
+], ids=["nested-document", "nested-score-row", "nested-task-meta", "nested-classifier",
+        "nested-json-config", "nested-yaml-config", "long-int-json-config",
+        "long-int-yaml-config", "long-int-override", "long-int-document", "long-int-score-row",
+        "huge-int-wds", "huge-int-task-meta", "huge-int-classifier", "impossible-date-yaml-config",
+        "impossible-date-override"])
+def test_deep_or_oversized_input_exits_with_one_line_naming_it(
+    tmp_path, capsys, stage, name, text, extra, code, where
+):
+    config = {"input": "corpus.jsonl", "output_root": "out", "language": "aaa_Latn",
+              "lid": {"classifier_path": "model.json"},
+              "eval_agg": {"scores": "scores.jsonl", "task_meta": "tasks.json"}}
+    files = {"corpus.jsonl": _DOCUMENT + "}\n", "scores.jsonl": _SCORE_ROW % 1 + "}\n",
+             "tasks.json": _TASK_META % 0.25 + "}", "model.json": _CLASSIFIER % -2.0 + "}",
+             "cfg.json": json.dumps(config)}
+    if name in ("cfg.json", "cfg.yaml"):  # JSON text is YAML too
+        text = f"{json.dumps(config)[:-1]}, {text}}}"
+    if name is not None:
+        files[name] = text
+    for file, content in files.items():
+        (tmp_path / file).write_text(content)
+    cfg = tmp_path / ("cfg.yaml" if name == "cfg.yaml" else "cfg.json")
+    assert main([stage, "--config", str(cfg), *extra]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    prefix = "config error" if code == 2 else f"{stage} failed"
+    assert err.startswith(f"refinery: {prefix}: ")
+    assert (f"{tmp_path / where}: " if name else f"{where}: ") in err
+
+
 @pytest.mark.parametrize("text", ['{"log_probs": ', "[]"], ids=["truncated", "list"])
 def test_malformed_classifier_file_exits_1_with_one_line(tmp_path, capsys, text):
     (tmp_path / "corpus.jsonl").write_text('{"id":"a","lang":"aaa_Latn","text":"x"}\n')

@@ -347,8 +347,8 @@ def test_loading_a_config_loads_no_stage_and_no_numpy(tmp_path):
     # Each short job pays for the modules its start-up imports; a config
     # alone needs neither numpy nor any stage.
     path = _write(tmp_path, _minimal(tmp_path))
-    unwanted = ("numpy", *(f"refinery.{m}" for m in (
-        "lid", "dedup", "evalagg", "packaging", "wds", "analytics", "stopwords")))
+    unwanted = ("numpy", "ctypes", *(f"refinery.{m}" for m in (
+        "lid", "dedup", "evalagg", "packaging", "wds", "analytics", "stopwords", "zstdio")))
     script = textwrap.dedent(f"""\
         import importlib, sys
         import refinery.config

@@ -273,6 +273,50 @@ def test_load_grid_matches_the_per_row_reference(tmp_path_factory, case, not_utf
     assert outcome(load_grid, path, meta) == want
 
 
+def _cell_outcome(check, row):
+    try:
+        return ("ok", repr(check(row, TASKS)))  # repr tells 1, 1.0 and True apart
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+_MISSING = object()
+# Any JSON value, a CSV row's string, or one that makes a good row.
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**63, 10**400, -(10**400)]),
+    st.floats(), st.integers().map(str), st.floats().map(str), st.text(max_size=4),
+    st.sampled_from(["", " 7 ", "1.5", "0x10", "1_000", "T0"]),
+    st.sampled_from([math.nan, math.inf, -math.inf, "nan", "-inf", "1e999"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+# Values each field accepts; a drawn row starts from these.
+_GOOD = {"model": ["m0", 0, 1.5, True], "task": ["t0", "t2"], "prompt": ["p0", "", 2, False],
+         "checkpoint_tokens": [1, "3", 2.0, True, " 4"], "score": [0.5, "0.25", 1, "-1e3"]}
+
+
+@st.composite
+def score_rows(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_FIELD_VALUES)  # not an object
+    row = {name: draw(st.sampled_from(_GOOD[name])) for name in FIELDS}
+    for name in draw(st.sets(st.sampled_from(FIELDS))):
+        value = draw(st.one_of(st.just(_MISSING), _FIELD_VALUES))
+        if value is _MISSING:
+            del row[name]
+        else:
+            row[name] = value
+    if draw(st.booleans()):
+        row[None] = ["x"]  # csv.DictReader's key for the fields past the header's
+    return row
+
+
+@seed(20261022)
+@settings(max_examples=1500, deadline=None)
+@given(score_rows())
+def test_score_cell_gives_what_the_reference_gives(row):
+    assert _cell_outcome(evalagg._score_cell, row) == _cell_outcome(ref_cell, row)
+
+
 def _csv_line(row):
     return ",".join(str(row[name]) for name in FIELDS) + "\n"
 
