@@ -241,15 +241,15 @@ def _buckets(
             continue
         at = np.searchsorted(repeated, columns[:, 0]).clip(max=len(repeated) - 1)
         subset = np.flatnonzero(repeated[at] == columns[:, 0])
-        keys = [columns[subset, c] for c in reversed(range(rows))]  # last key sorts first
-        if groups is not None:
-            keys.append(groups[subset])
-        order = subset[np.lexsort(keys)]  # stable: ascending rows within a bucket
-        ordered = columns[order]
+        block = columns[subset]
+        if groups is not None:  # the group code sorts first
+            block = np.column_stack([groups[subset].astype(np.uint64), block])
+        # Big-endian, a row's bytes sort in the numeric order of its values.
+        keys = np.ascontiguousarray(block, dtype=">u8").view(f"V{8 * block.shape[1]}").ravel()
+        by_key = np.argsort(keys, kind="stable")  # ascending rows within a bucket
+        order, keys = subset[by_key], keys[by_key]
         starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        if groups is not None:
-            starts[1:] |= np.diff(groups[order]) != 0
+        starts[1:] = keys[1:] != keys[:-1]
         bounds = np.append(np.flatnonzero(starts), len(order))
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if hi - lo > 1:

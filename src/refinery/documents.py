@@ -179,23 +179,18 @@ def parse_document_line(line: str) -> Document:
             wds = float(wds)
         except OverflowError as exc:
             raise DocumentError(f"field 'wds': {exc}") from exc
-    try:
-        return Document(
-            id=raw["id"],
-            lang=raw["lang"],
-            text=raw["text"],
-            url=raw.get("url"),
-            collection=collection,
-            seg_langs=seg_langs,
-            wds=wds,
-            register=raw.get("register"),
-            removed_reason=raw.get("removed_reason"),
-            extras=extras,
-        )
-    except DocumentError:
-        raise
-    except TypeError as exc:
-        raise DocumentError(str(exc)) from exc
+    return Document(
+        id=raw["id"],
+        lang=raw["lang"],
+        text=raw["text"],
+        url=raw.get("url"),
+        collection=collection,
+        seg_langs=seg_langs,
+        wds=wds,
+        register=raw.get("register"),
+        removed_reason=raw.get("removed_reason"),
+        extras=extras,
+    )
 
 
 def serialize_document(doc: Document) -> str:

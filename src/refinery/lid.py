@@ -21,18 +21,18 @@ segments joined by spaces) and every segment. It reads whole documents
 into batches of about ``_BATCH_CHARS`` characters. A batch normalizes each
 distinct raw segment once and scores each distinct non-empty normal form,
 a piece, once; a document's sums are its pieces' sums plus those of its
-junction windows, the windows holding a space that joins two pieces. Each
-of those lies in the context of the first join it holds: up to (max order
-- 1) characters on each side of it, the join marked U+0001. Pieces and
-contexts are summed by one kernel over a stream of texts each ended by
-U+0000 (``_sums``); the batch normalizes its segments itself, so no caller
-can hand it either character. Each order-n window packs its code points
-into a ``uint64`` key, 21 bits each, an open-addressing hash table over
-the model's keys (``_KeyTable``) finds its matrix row, and one
-``np.bincount`` per order and label sums the rows by text. The stream is
-cut into blocks of ``_BLOCK_CHARS`` window starts, each carrying the next
-(max order - 1) characters, so the kernel's memory stays a few MB whatever
-the text size. Those sums add the terms in another order than
+junction windows, the windows holding a space that joins two pieces. Those
+are the windows holding a join marked U+0001 in the document written with
+each piece longer than 2 * (max order - 1) characters cut to its first and
+last (max order - 1). Pieces and documents are summed by one kernel over
+a stream of texts each ended by U+0000 (``_sums``); the batch normalizes
+its segments itself, so no caller can hand it either character. Each
+order-n window packs its code points into a ``uint64`` key, 21 bits each,
+an open-addressing hash table over the model's keys (``_KeyTable``) finds
+its matrix row, and one ``np.bincount`` per order and label sums the rows
+by text. The stream is cut into blocks of ``_BLOCK_CHARS`` window starts,
+each carrying the next (max order - 1) characters, so the kernel's memory
+stays a few MB whatever the text size. Those sums add the terms in another order than
 ``predict``, so each text gets a bound on the difference
 (``_rounding_bound``): n terms of at most M in magnitude, added in any
 order, land within n * n * M * 2**-53 of the exact sum. A text whose
@@ -431,7 +431,7 @@ class NgramLanguageClassifier:
             piece_sums = doc_sums = None
             if max(self._orders) <= _KEY_ORDER:  # else keys cannot hold the grams
                 piece_sums = self._sums("\x00".join(chain(pieces, [""])))
-                doc_sums = self._document_sums(piece_sums, pieces, chars, rows, owner, len(texts))
+                doc_sums = self._document_sums(piece_sums, pieces, texts, rows, owner)
             labels, _, again = self._settle(piece_sums, chars, pieces.__getitem__, None)
             doc_chars = np.bincount(owner, chars[rows], len(texts)) + [len(t) - 1 for t in texts]
             documents = zip(*self._settle(doc_sums, doc_chars,
@@ -464,40 +464,24 @@ class NgramLanguageClassifier:
         return self._index
 
     def _document_sums(
-        self, piece_sums: np.ndarray, pieces: list[str], lengths: np.ndarray, rows: np.ndarray,
-        owner: np.ndarray, documents: int,
+        self, piece_sums: np.ndarray, pieces: list[str], texts: list[list[int]],
+        rows: np.ndarray, owner: np.ndarray,
     ) -> np.ndarray:
-        """The [documents, labels] score sums of documents whose pieces have
-        the ``rows`` of ``pieces``, ``lengths`` and ``piece_sums``, ``owner``
-        holding each one's document: its pieces' sums plus those of the
-        windows holding a join. Such a window belongs to the first join it
-        holds, and lies in that join's context: the last (max order - 1)
-        characters of the piece before it, the space, marked U+0001, and the
-        first (max order - 1) of the document's text after it. The contexts
-        are summed about ``_BLOCK_CHARS`` characters at a time.
+        """The [documents, labels] score sums of ``texts``, documents given as
+        the rows of their ``pieces`` (flattened into ``rows``, ``owner``
+        holding each row's document): a document's pieces' ``piece_sums``
+        plus the sums of its windows holding a join. Those are summed in
+        ``marked`` mode over the documents written as their pieces joined by
+        U+0001, each piece longer than 2 * (max order - 1) characters cut to
+        its first and last (max order - 1): a window holding a join reaches
+        no further into a piece, and one across a cut holds no join.
         """
-        sums = np.zeros((documents, piece_sums.shape[1]))
-        np.add.at(sums, owner, piece_sums[rows])
         reach = max(self._orders) - 1
-        # The last and the first ``reach`` characters of a text.
-        tail, head = slice(-reach, None) if reach else slice(0), slice(reach)
-        # The occurrence before each join.
-        joins = np.flatnonzero(owner[1:] == owner[:-1])
-        step = max(1, _BLOCK_CHARS // (2 * reach + 2))
-        for start in range(0, len(joins), step):
-            at = joins[start:start + step]
-            left, right = rows[at].tolist(), rows[at + 1].tolist()
-            contexts = [pieces[a][tail] + "\x01" + pieces[b][head] + "\x00"
-                        for a, b in zip(left, right)]
-            # After a piece shorter than a head, the document's text goes on.
-            for i in np.flatnonzero(lengths[right] < reach).tolist():
-                k = at[i] + 1
-                text = pieces[right[i]]
-                while len(text) < reach and k + 1 < len(rows) and owner[k + 1] == owner[k]:
-                    k += 1
-                    text += " " + pieces[rows[k]]
-                contexts[i] = pieces[left[i]][tail] + "\x01" + text[head] + "\x00"
-            np.add.at(sums, owner[at], self._sums("".join(contexts), marked=True))
+        # p[len(p) - reach:], not p[-reach:], which at reach 0 keeps all of p.
+        ends = [p if len(p) <= 2 * reach else p[:reach] + p[len(p) - reach:] for p in pieces]
+        sums = self._sums("".join("\x01".join(map(ends.__getitem__, t)) + "\x00" for t in texts),
+                          marked=True)
+        np.add.at(sums, owner, piece_sums[rows])
         return sums
 
     def _sums(self, stream: str, marked: bool = False) -> np.ndarray:

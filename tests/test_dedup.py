@@ -298,6 +298,48 @@ class TestLsh:
         groups = np.array([1, 0, 1, 0, 0])
         assert list(_buckets(matrix, 1, 2, groups)) == [[1, 3], [0, 2]]
 
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("bands, rows", [(1, 1), (3, 2), (2, 5)])
+    def test_buckets_come_in_the_lexsort_order(self, grouped, bands, rows):
+        # Few values, so that first values collide and whole bands repeat,
+        # most of them at or above 2**56, where little-endian bytes sort
+        # out of numeric order. Bucket order decides which pairs
+        # _cluster_buckets verifies.
+        values = np.array([1, 2, 2**56, 2**56 + 1, 3 << 56, 2**63, 2**64 - 1], dtype=np.uint64)
+        gen = np.random.default_rng(bands * 10 + rows)
+        for _ in range(40):
+            n = int(gen.integers(2, 60))
+            pool = gen.choice(values, int(gen.integers(2, 5)), replace=False)
+            matrix = pool[gen.integers(0, len(pool), (n, bands * rows))]
+            groups = gen.integers(0, 3, n) if grouped else None
+            assert (list(_buckets(matrix, bands, rows, groups))
+                    == list(_lexsort_buckets(matrix, bands, rows, groups)))
+
+
+def _lexsort_buckets(matrix, bands, rows, groups=None):
+    """``_buckets`` as it was when it sorted each band with ``np.lexsort``."""
+    for band in range(bands):
+        columns = matrix[:, band * rows : (band + 1) * rows]
+        ranked = np.sort(columns[:, 0])
+        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+        if not len(repeated):
+            continue
+        at = np.searchsorted(repeated, columns[:, 0]).clip(max=len(repeated) - 1)
+        subset = np.flatnonzero(repeated[at] == columns[:, 0])
+        keys = [columns[subset, c] for c in reversed(range(rows))]
+        if groups is not None:
+            keys.append(groups[subset])
+        order = subset[np.lexsort(keys)]
+        ordered = columns[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        if groups is not None:
+            starts[1:] |= np.diff(groups[order]) != 0
+        bounds = np.append(np.flatnonzero(starts), len(order))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi - lo > 1:
+                yield order[lo:hi].tolist()
+
 
 class TestCluster:
     def test_no_pairs_is_identity_partition(self):

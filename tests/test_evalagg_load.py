@@ -2,9 +2,9 @@
 
 ``ref_scores`` reads a score table the simple way: each line through
 ``json.loads`` (or each ``csv.DictReader`` row), then every check in turn.
-On generated tables with one injected fault, placed on either side of the
-loader's chunk boundaries, ``load_grid`` must raise the same error text or
-build the same grid.
+On generated tables with one injected fault on any line, or on a line far
+past the text decoder's buffer, ``load_grid`` must raise the same error
+text or build the same grid.
 """
 
 import csv
@@ -231,19 +231,17 @@ FAULTS = {f.__name__.lstrip("_"): f for f in (
 
 @st.composite
 def faulty_tables(draw):
-    chunk = draw(st.sampled_from([1, 2, 3, 5, 8]))
     n = draw(st.integers(1, 30))
-    # the fault's line: at a multiple of the chunk size or one line either side
-    at = min(max(chunk * draw(st.integers(0, 6)) + draw(st.integers(-1, 1)), 0), n - 1)
+    at = draw(st.integers(0, n - 1))  # the fault's line
     kind = draw(st.sampled_from(["none", *FAULTS]))
-    return chunk, n, at, kind, draw(st.integers(0, 2**32))
+    return n, at, kind, draw(st.integers(0, 2**32))
 
 
 @seed(20261020)
 @settings(max_examples=400, deadline=None)
 @given(faulty_tables(), st.booleans())
 def test_load_grid_matches_the_per_row_reference(tmp_path_factory, case, not_utf8_after):
-    chunk, n, at, kind, rng_seed = case
+    n, at, kind, rng_seed = case
     rng = random.Random(rng_seed)
     tmp_path = tmp_path_factory.mktemp("grid")
     lines = [dumps(row, rng) + "\n" for row in table_rows(rng, n)]
@@ -267,9 +265,6 @@ def test_load_grid_matches_the_per_row_reference(tmp_path_factory, case, not_utf
     want = outcome(lambda: EvalGrid(ref_scores(path, TASKS), TASKS))
     if row_fault:
         assert want == row_fault  # a row fault before a bad byte is the one named
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evalagg, "_CHUNK_LINES", chunk, raising=False)
-        assert outcome(load_grid, path, meta) == want
     assert outcome(load_grid, path, meta) == want
 
 
@@ -340,10 +335,9 @@ CSV_FAULTS = {
 
 @seed(20261021)
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 2, 3, 5]), st.integers(1, 20), st.integers(0, 19),
-       st.sampled_from(["none", *CSV_FAULTS]), st.integers(0, 2**32))
-def test_csv_load_grid_matches_the_per_row_reference(tmp_path_factory, chunk, n, at, kind,
-                                                     rng_seed):
+@given(st.integers(1, 20), st.integers(0, 19), st.sampled_from(["none", *CSV_FAULTS]),
+       st.integers(0, 2**32))
+def test_csv_load_grid_matches_the_per_row_reference(tmp_path_factory, n, at, kind, rng_seed):
     rng = random.Random(rng_seed)
     tmp_path = tmp_path_factory.mktemp("grid")
     lines = [_csv_line(row) for row in table_rows(rng, n)]
@@ -353,17 +347,19 @@ def test_csv_load_grid_matches_the_per_row_reference(tmp_path_factory, chunk, n,
     path.write_text(",".join(FIELDS) + "\n" + "".join(lines), encoding="utf-8", newline="")
     meta = write_meta(tmp_path)
     want = outcome(lambda: EvalGrid(ref_scores(path, TASKS), TASKS))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evalagg, "_CHUNK_LINES", chunk, raising=False)
-        assert outcome(load_grid, path, meta) == want
     assert outcome(load_grid, path, meta) == want
+
+
+# A fault's line far into a table: the rows before it reach well past the
+# text decoder's buffer, so they are read in several buffers.
+_FAR_LINE = 4096
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("kind", ["truncated", "score", "repeated_cell", "leading_space"])
 def test_a_fault_beside_a_full_size_chunk_boundary(tmp_path, kind, offset):
     rng = random.Random(f"{kind}:{offset}")
-    at = getattr(evalagg, "_CHUNK_LINES", 4096) + offset
+    at = _FAR_LINE + offset
     rows = [{"model": f"m{i % 7}", "task": f"t{i % 3}", "prompt": "p", "checkpoint_tokens": i,
              "score": 0.5} for i in range(at + 5)]
     lines = [dumps(row, rng) + "\n" for row in rows]

@@ -370,6 +370,45 @@ def test_documents_sharing_segments_match_predict(three_alphabet_model, pool, pi
         _check_against_predict(model, texts, planted)
 
 
+# A document's junction windows reach (max order - 1) characters into a
+# piece: reach 0, 1 and 2, and an order given twice.
+_ORDER_SETS = [(1,), (2,), (1, 3), (2, 1, 2)]
+
+
+@pytest.fixture(scope="module")
+def models_by_orders():
+    rng = random.Random(11)
+    seeds = {label: " ".join("".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
+                             for _ in range(400))
+             for label, alphabet in (("lat", _LATIN), ("cyr", _CYRILLIC), ("grc", _GREEK))}
+    return {orders: NgramLanguageClassifier.train(seeds, orders) for orders in _ORDER_SETS}
+
+
+@pytest.mark.parametrize("sizes", [None, (1, 50), (3, 120)], ids=["default", "block1", "block3"])
+@pytest.mark.parametrize("orders", _ORDER_SETS, ids=lambda orders: "+".join(map(str, orders)))
+def test_junction_windows_at_every_reach(models_by_orders, monkeypatch, orders, sizes):
+    model = models_by_orders[orders]
+    reach = max(orders) - 1
+    rng = random.Random(f"{orders}:{sizes}")
+    # Pieces of 2 * reach characters are kept whole, longer ones cut to
+    # their first and last reach characters.
+    edges = ["".join(rng.choice(alphabet) for _ in range(length))
+             for length in range(max(2 * reach - 1, 1), 2 * reach + 3)
+             for alphabet in (_LATIN, _CYRILLIC, _GREEK)]
+    pool = edges + _SHORT_SEGMENTS + [
+        "".join(rng.choice(_MIXED_ALPHABET.replace("\n", "")) for _ in range(rng.randint(1, 40)))
+        for _ in range(8)]
+    if sizes:
+        monkeypatch.setattr(lid, "_BLOCK_CHARS", sizes[0])
+        monkeypatch.setattr(lid, "_BATCH_CHARS", sizes[1])
+    for _ in range(20):
+        texts = ["\n".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+                 for _ in range(rng.randint(1, 8))]
+        _check_against_predict(model, texts, 0.0)
+        # A threshold planted at one text's own confidence.
+        _check_against_predict(model, texts, classify(rng.choice(texts), model).confidence)
+
+
 @pytest.mark.parametrize("batch", [1 << 16, 1])
 def test_inflated_bound_predicts_each_distinct_piece_once_per_batch(
         three_alphabet_model, monkeypatch, batch):
