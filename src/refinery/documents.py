@@ -4,7 +4,8 @@ Every pipeline stage reads and writes the same record shape: one JSON
 object per line with required keys ``id``, ``lang``, ``text`` and optional
 keys ``url``, ``collection``, ``seg_langs``, ``wds``, ``register``. Unknown
 keys are kept verbatim in ``extras`` so richer upstream schemas round-trip
-losslessly. Files ending in ``.zst`` are Zstandard-compressed.
+losslessly. ``read_documents`` decompresses a file whose name ends in
+``.zst``; ``write_documents`` writes plain JSONL.
 
 A segment is a trimmed, non-empty line of the text, held as a ``str``;
 readers count its tokens where they need them. ``Document.segments`` is
@@ -258,24 +259,9 @@ def read_utf8(path: str | Path, data: bytes | None = None) -> str:
         ) from exc
 
 
-def _parse_jsonl(data: bytes, path: Path) -> list[Document]:
-    """Decode and parse JSONL bytes; every error names ``path`` and the line."""
-    text = read_utf8(path, data)
-    docs = []
-    # Split on \n only: JSON strings may contain U+2028/U+2029, which
-    # str.splitlines would treat as record separators.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            docs.append(parse_document_line(line))
-        except DocumentError as exc:
-            raise DocumentError(f"{path}:{lineno}: {exc}") from exc
-    return docs
-
-
 def read_documents(path: str | Path) -> list[Document]:
-    """Read a (possibly .zst-compressed) JSONL document file."""
+    """Read a (possibly .zst-compressed) JSONL document file; every error
+    names ``path``, and the line where there is one."""
     path = Path(path)
     data = path.read_bytes()
     if path.suffix == ".zst":
@@ -285,7 +271,17 @@ def read_documents(path: str | Path) -> list[Document]:
             data = zstdio.decompress(data)
         except zstdio.ZstdError as exc:
             raise DocumentError(f"{path}: corrupt zstd data: {exc}") from exc
-    return _parse_jsonl(data, path)
+    docs = []
+    # Split on \n only: JSON strings may contain U+2028/U+2029, which
+    # str.splitlines would treat as record separators.
+    for lineno, line in enumerate(read_utf8(path, data).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            docs.append(parse_document_line(line))
+        except DocumentError as exc:
+            raise DocumentError(f"{path}:{lineno}: {exc}") from exc
+    return docs
 
 
 def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
@@ -314,16 +310,6 @@ def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
 
 
 def write_documents(docs: Iterable[Document], path: str | Path) -> None:
-    """Write documents atomically as JSONL, zstd-compressed when path ends in .zst.
-
-    A plain file is written a line at a time, so no copy of the whole file
-    is held; a ``.zst`` file is compressed in one shot.
-    """
-    path = Path(path)
-    lines = (f"{serialize_document(d)}\n".encode("utf-8") for d in docs)
-    if path.suffix == ".zst":
-        from . import zstdio
-
-        write_atomic(path, zstdio.compress(b"".join(lines)))
-    else:
-        write_atomic(path, lines)
+    """Write documents atomically as plain JSONL, a line at a time, so no
+    copy of the whole file is held."""
+    write_atomic(path, (f"{serialize_document(d)}\n".encode("utf-8") for d in docs))

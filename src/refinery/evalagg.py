@@ -75,7 +75,7 @@ class TaskBlock:
 @dataclass(frozen=True)
 class EvalGrid:
     """Scores by cell plus task metadata, indexed once at construction into
-    ``blocks``, which every accessor reads; change no score afterwards."""
+    ``blocks``, which the stages read; change no score afterwards."""
 
     scores: dict[Cell, float]
     tasks: dict[str, TaskMeta]
@@ -107,24 +107,6 @@ class EvalGrid:
     @property
     def models(self) -> tuple[str, ...]:
         return tuple(sorted({m for b in self.blocks.values() for m in b.models}))
-
-    @property
-    def checkpoints(self) -> tuple[int, ...]:
-        return tuple(sorted({c for b in self.blocks.values() for c in b.checkpoints}))
-
-    def task_checkpoints(self, task: str) -> tuple[int, ...]:
-        return self.blocks[task].checkpoints if task in self.blocks else ()
-
-    def task_prompts(self, task: str) -> tuple[str, ...]:
-        return self.blocks[task].prompts if task in self.blocks else ()
-
-    def prompt_scores(self, model: str, task: str, checkpoint: int) -> dict[str, float]:
-        block = self.blocks.get(task)
-        if block is None or model not in block.at[0] or checkpoint not in block.at[2]:
-            return {}
-        m, c = block.at[0][model], block.at[2][checkpoint]
-        return {p: v for p, v in zip(block.prompts, block.values[m, :, c].tolist())
-                if v != -math.inf}
 
 
 def prompt_aggregate(grid: EvalGrid) -> dict[tuple[str, str, int], float]:
@@ -396,12 +378,12 @@ def select_tasks(
 
     for task in sorted(grid.tasks):
         meta = grid.tasks[task]
-        checkpoints = grid.task_checkpoints(task)
+        block = grid.blocks.get(task)
+        checkpoints = block.checkpoints if block is not None else ()
         if len(checkpoints) < 3:
             raise GridError(
                 f"task {task!r} has {len(checkpoints)} checkpoints; need >= 3"
             )
-        block = grid.blocks[task]
         missing = np.argwhere(block.best == -np.inf)
         if len(missing):
             m, c = missing[0]

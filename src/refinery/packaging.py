@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import zstdio
 from .config import PackagingConfig
-from .documents import Corpus, Document, _parse_jsonl, serialize_document, write_atomic
+from .documents import Corpus, Document, serialize_document, write_atomic
 from .wds import wds_level
 
 UNBINNED = "unbinned"
@@ -23,13 +23,6 @@ UNBINNED = "unbinned"
 
 class PackagingError(ValueError):
     pass
-
-
-class ShardReadError(IOError):
-    def __init__(self, message: str, path: str | Path, frame_offset: int | None = None):
-        super().__init__(f"{path}: {message}")
-        self.path = str(path)
-        self.frame_offset = frame_offset
 
 
 @dataclass(frozen=True)
@@ -59,17 +52,17 @@ def assign_bins(corpus: Corpus) -> dict[int | str, list[Document]]:
     return bins
 
 
-def sort_bin(documents: Sequence[Document], descending: bool = True) -> list[Document]:
-    """Total deterministic order: by score, ties ascending by (collection, id)."""
+def sort_bin(documents: Sequence[Document]) -> list[Document]:
+    """Total deterministic order: highest score first, ties ascending by (collection, id)."""
     def key(doc: Document):
         score = doc.wds if doc.wds is not None else 0.0
-        return ((-score if descending else score), doc.collection, doc.id)
+        return (-score, doc.collection, doc.id)
 
     return sorted(documents, key=key)
 
 
-def _bin_sort_order(bins: Iterable[int | str], descending: bool = True) -> list[int | str]:
-    numeric = sorted((b for b in bins if isinstance(b, int)), reverse=descending)
+def _bin_sort_order(bins: Iterable[int | str]) -> list[int | str]:
+    numeric = sorted((b for b in bins if isinstance(b, int)), reverse=True)
     ordered: list[int | str] = list(numeric)
     if any(b == UNBINNED for b in bins):
         ordered.append(UNBINNED)
@@ -133,24 +126,6 @@ def write_shards(
     return manifests
 
 
-def read_shards(paths: Iterable[str | Path]) -> list[Document]:
-    """Read shard files in the order given, concatenating their documents."""
-    docs: list[Document] = []
-    for path in paths:
-        path = Path(path)
-        raw = path.read_bytes()
-        try:
-            data = zstdio.decompress(raw)
-        except zstdio.ZstdError as exc:
-            raise ShardReadError(
-                f"corrupt zstd frame at byte offset {exc.frame_offset}: {exc}",
-                path,
-                exc.frame_offset,
-            ) from exc
-        docs.extend(_parse_jsonl(data, path))
-    return docs
-
-
 def package_corpus(
     corpus: Corpus, out_dir: str | Path, config: PackagingConfig | None = None
 ) -> list[ShardManifest]:
@@ -158,10 +133,9 @@ def package_corpus(
     config = config or PackagingConfig()
     bins = assign_bins(corpus)
     manifests: list[ShardManifest] = []
-    for key in _bin_sort_order(bins.keys(), config.sort_descending):
-        ordered = sort_bin(bins[key], config.sort_descending)
+    for key in _bin_sort_order(bins.keys()):
         manifests.extend(
-            write_shards(ordered, out_dir, corpus.language, key, config)
+            write_shards(sort_bin(bins[key]), out_dir, corpus.language, key, config)
         )
     write_atomic(
         Path(out_dir) / corpus.language / "manifest.json",
@@ -169,19 +143,3 @@ def package_corpus(
     )
     return manifests
 
-
-def shard_paths(
-    out_dir: str | Path, language: str, manifests: Sequence[ShardManifest]
-) -> list[Path]:
-    return [
-        Path(out_dir) / language / str(m.wds_bin) / f"{m.shard_index}.jsonl.zst"
-        for m in manifests
-    ]
-
-
-def read_packaged_corpus(out_dir: str | Path, language: str) -> list[Document]:
-    """Read all shards of a packaged language in (bin, shard_index) order."""
-    manifest_path = Path(out_dir) / language / "manifest.json"
-    records = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifests = [ShardManifest(**r) for r in records]
-    return read_shards(shard_paths(out_dir, language, manifests))

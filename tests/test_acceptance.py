@@ -35,7 +35,7 @@ from refinery.dedup import (
     shingle,
     signature,
 )
-from refinery.documents import Corpus, Document, segment_text
+from refinery.documents import Corpus, Document, read_documents, segment_text
 from refinery.evalagg import (
     EvalGrid,
     TaskMeta,
@@ -49,8 +49,6 @@ from refinery.packaging import (
     UNBINNED,
     assign_bins,
     package_corpus,
-    read_shards,
-    shard_paths,
     sort_bin,
 )
 from refinery.wds import _oddity_penalty, WdsConfig, score_document, wds_level
@@ -268,8 +266,8 @@ def test_c06_packaging_round_trip(tmp_path):
     )
     for key, members in bins.items():
         bin_manifests = [m for m in manifests if m.wds_bin == key]
-        paths = shard_paths(tmp_path, "eng_Latn", bin_manifests)
-        read_back = read_shards(paths)
+        read_back = [doc for m in bin_manifests for doc in read_documents(
+            tmp_path / "eng_Latn" / str(m.wds_bin) / f"{m.shard_index}.jsonl.zst")]
         assert read_back == sort_bin(members)
         for m in bin_manifests:
             assert m.uncompressed_bytes <= limit

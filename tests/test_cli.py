@@ -323,6 +323,24 @@ def test_eval_agg_stage(tmp_path):
     assert (tmp_path / "out" / "eval_agg" / "ranking.txt").exists()
 
 
+def test_eval_agg_without_selection_takes_every_task(tmp_path, capsys):
+    # One checkpoint is too few for the selection criteria, which need three.
+    rows = [{"model": model, "task": task, "prompt": "p0", "checkpoint_tokens": 1,
+             "score": score} for model, score in [("m_base", 0.4), ("m_plus", 0.5)]
+            for task in ("taskA", "taskB")]
+    config = _eval_agg_config(tmp_path)
+    (tmp_path / "scores.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["eval-agg", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == ("refinery: eval-agg failed: "
+                                       "task 'taskA' has 1 checkpoints; need >= 3\n")
+    assert main(["eval-agg", "--config", str(config), "--set",
+                 "eval_agg.run_selection=false"]) == 0
+    out = tmp_path / "out" / "eval_agg"
+    assert "task_selection" not in json.loads((out / "evalagg.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert report["tasks_selected"] == report["tasks_total"] == 2
+
+
 _GRID_HEADER = "model,task,prompt,checkpoint_tokens,score\n"
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
+import yaml
 
 from refinery.cli import main
-from refinery.config import ConfigError, PipelineConfig, load_config
+from refinery.config import ConfigError, PipelineConfig, _build, load_config
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -83,6 +84,27 @@ def test_missing_seed_text_rejected(tmp_path):
     payload["lid"] = {"seed_texts": {"aaa_Latn": "seeds/nope.txt"}}
     with pytest.raises(ConfigError, match="seed_texts"):
         load_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("key", ["input", "lid.classifier_path", "lid.seed_texts.aaa_Latn",
+                                 "analytics.stopword_file", "eval_agg.scores",
+                                 "eval_agg.task_meta"])
+def test_directory_given_as_a_file_exits_2_naming_the_key(tmp_path, capsys, key):
+    # A directory would fail only when the stage that reads it runs.
+    (tmp_path / "folder").mkdir()
+    path = _write(tmp_path, _minimal(tmp_path))
+    assert main(["all", "--config", str(path), "--set", f"{key}=folder"]) == 2
+    assert capsys.readouterr().err == (
+        f"refinery: config error: {key}: path 'folder' is a directory, not a file\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_block_shows_the_defaults():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    header = {key: raw[key] for key in ("input", "output_root", "language")}
+    assert _build(PipelineConfig, raw, "") == PipelineConfig(**header)
 
 
 def test_cli_overrides(tmp_path):
@@ -171,6 +193,14 @@ def test_workers_is_an_unknown_field(tmp_path):
     for workers in (1, 2, "two", 1.5, True, 0, -1, None):
         payload = {**_minimal(tmp_path), "workers": workers}
         with pytest.raises(ConfigError, match="workers: unknown field"):
+            load_config(_write(tmp_path, payload))
+
+
+def test_sort_descending_is_an_unknown_field(tmp_path):
+    # Shards are always sorted by score, highest first.
+    for value in (True, False):
+        payload = {**_minimal(tmp_path), "packaging": {"sort_descending": value}}
+        with pytest.raises(ConfigError, match="^packaging.sort_descending: unknown field$"):
             load_config(_write(tmp_path, payload))
 
 
@@ -312,21 +342,39 @@ def test_nan_or_out_of_range_number_exits_2_naming_the_key(tmp_path, capsys, key
     assert capsys.readouterr().err == f"refinery: config error: {key}: {message}\n"
 
 
-@pytest.mark.parametrize("key, value", [
-    ("packaging.max_uncompressed_bytes", 0),
-    ("packaging.max_uncompressed_bytes", -1),
-    ("analytics.reference_total_tokens", 0),
-    ("analytics.reference_total_tokens", -5),
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param(key, value, message, id=f"{key}-{value}")
+    for key, value, message in [
+        ("packaging.max_uncompressed_bytes", 0,
+         "packaging.max_uncompressed_bytes: must be at least 1, got 0"),
+        ("packaging.max_uncompressed_bytes", -1,
+         "packaging.max_uncompressed_bytes: must be at least 1, got -1"),
+        ("analytics.reference_total_tokens", 0,
+         "analytics.reference_total_tokens: must be at least 1, got 0"),
+        ("analytics.reference_total_tokens", -5,
+         "analytics.reference_total_tokens: must be at least 1, got -5"),
+        # The default is 16 bands of 16 rows.
+        ("dedup.bands", 10_000_000, "dedup: bands * rows must be at most 512, got 160000000"),
+        ("dedup.rows", 10**12, "dedup: bands * rows must be at most 512, got 16000000000000"),
+    ]
 ])
-def test_value_that_could_only_fail_later_exits_2_before_any_stage(tmp_path, capsys, key, value):
+def test_value_that_could_only_fail_later_exits_2_before_any_stage(
+        tmp_path, capsys, key, value, message):
     # A shard limit below 1 would fail package only after lid, dedup and
     # score had written their outputs; a reference total below 1 would
-    # report a negative share, or none at all for 0.
+    # report a negative share, or none at all for 0; a signature this long
+    # would fail dedup's allocation only after lid had run.
     path = _write(tmp_path, _minimal(tmp_path))
     assert main(["all", "--config", str(path), "--set", f"{key}={value}"]) == 2
-    assert capsys.readouterr().err == (
-        f"refinery: config error: {key}: must be at least 1, got {value}\n")
+    assert capsys.readouterr().err == f"refinery: config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bands, rows", [(512, 1), (32, 16), (1, 512)])
+def test_longest_signature_loads(tmp_path, bands, rows):
+    config = load_config(_write(tmp_path, _minimal(tmp_path)),
+                         overrides=[f"dedup.bands={bands}", f"dedup.rows={rows}"])
+    assert config.dedup.signature_length == 512
 
 
 @pytest.mark.parametrize("key", ["packaging.max_uncompressed_bytes",

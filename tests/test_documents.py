@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import refinery.documents
+from refinery import zstdio
 from refinery.documents import (
     Corpus,
     Document,
@@ -234,10 +235,12 @@ def test_corpus_language_invariant():
 def test_file_round_trip_plain_and_zst(tmp_path, rng):
     docs = [parse_document_line(json.dumps(_random_record(rng))) for _ in range(50)]
     docs = [d.replace(id=f"u{i}") for i, d in enumerate(docs)]
-    for name in ("docs.jsonl", "docs.jsonl.zst"):
-        path = tmp_path / name
-        write_documents(docs, path)
-        assert read_documents(path) == docs
+    plain = tmp_path / "docs.jsonl"
+    write_documents(docs, plain)
+    assert read_documents(plain) == docs
+    compressed = tmp_path / "docs.jsonl.zst"
+    compressed.write_bytes(zstdio.compress(plain.read_bytes()))
+    assert read_documents(compressed) == docs
 
 
 def test_line_separator_characters_survive(tmp_path):

@@ -2,7 +2,7 @@
 
 The ``ref_*`` functions below are the earlier implementations, which read
 every grid value by scanning ``grid.scores``. They are the oracle: on
-ragged random grids the indexed accessors, criteria, selections, language
+ragged random grids the indexed task blocks, criteria, selections, language
 scores and error messages must equal theirs exactly (``==``, no tolerance).
 """
 
@@ -47,10 +47,6 @@ def ref_validate(scores, tasks):
 
 def ref_models(grid):
     return tuple(sorted({m for m, _, _, _ in grid.scores}))
-
-
-def ref_checkpoints(grid):
-    return tuple(sorted({c for _, _, _, c in grid.scores}))
 
 
 def ref_task_checkpoints(grid, task):
@@ -317,17 +313,19 @@ def outcome(fn, *args, **kwargs):
 
 def assert_same_accessors(grid):
     assert grid.models == ref_models(grid)
-    assert grid.checkpoints == ref_checkpoints(grid)
     assert prompt_aggregate(grid) == ref_prompt_aggregate(grid)
-    all_checkpoints = ref_checkpoints(grid) + (10**6,)
-    for task in list(grid.tasks) + ["no-such-task"]:
-        assert grid.task_checkpoints(task) == ref_task_checkpoints(grid, task)
-        assert grid.task_prompts(task) == ref_task_prompts(grid, task)
-        for model in ref_models(grid) + ("no-such-model",):
-            for checkpoint in all_checkpoints:
-                assert grid.prompt_scores(model, task, checkpoint) == ref_prompt_scores(
-                    grid, model, task, checkpoint
-                )
+    assert grid.blocks.keys() == {task for _, task, _, _ in grid.scores}
+    for task, block in grid.blocks.items():
+        assert block.checkpoints == ref_task_checkpoints(grid, task)
+        assert block.prompts == ref_task_prompts(grid, task)
+        for model in ref_models(grid):
+            for checkpoint in block.checkpoints:
+                scores = {}
+                if model in block.at[0]:
+                    m, c = block.at[0][model], block.at[2][checkpoint]
+                    scores = {p: v for p, v in zip(block.prompts, block.values[m, :, c].tolist())
+                              if v != -math.inf}
+                assert scores == ref_prompt_scores(grid, model, task, checkpoint)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -403,7 +401,7 @@ def test_integer_prompt_ids_load_and_aggregate(tmp_path):
     (tmp_path / "tasks.json").write_text(json.dumps({"t": {
         "random_baseline": 0.25, "max_score": 1.0, "category": "c", "language": "l"}}))
     grid = evalagg.load_grid(tmp_path / "scores.jsonl", tmp_path / "tasks.json")
-    assert grid.task_prompts("t") == (0, 1, 2)
+    assert grid.blocks["t"].prompts == (0, 1, 2)
     assert_same_accessors(grid)
     assert select_tasks(grid) == ref_select_tasks(grid)
     assert language_score(grid, "mb", "l") == ref_language_score(grid, "mb", "l")

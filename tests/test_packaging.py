@@ -4,17 +4,19 @@ import random
 import pytest
 
 from refinery import zstdio
-from refinery.documents import Corpus, Document, DocumentError, serialize_document
+from refinery.documents import (
+    Corpus,
+    Document,
+    DocumentError,
+    read_documents,
+    serialize_document,
+)
 from refinery.packaging import (
     PackagingConfig,
     PackagingError,
-    ShardReadError,
     UNBINNED,
     assign_bins,
     package_corpus,
-    read_packaged_corpus,
-    read_shards,
-    shard_paths,
     sort_bin,
     write_shards,
 )
@@ -31,6 +33,12 @@ def _scored_doc(i, score, lang="eng_Latn", collection="c", text=None):
         text=text if text is not None else f"line one {i}\nline two {i}",
         wds=score,
     )
+
+
+def _read_shards(out_dir, manifests, lang="eng_Latn"):
+    """The documents of the manifests' shards, in the order given."""
+    return [doc for m in manifests for doc in read_documents(
+        out_dir / lang / str(m.wds_bin) / f"{m.shard_index}.jsonl.zst")]
 
 
 def _scored_corpus(rng, n, lang="eng_Latn"):
@@ -106,7 +114,7 @@ class TestSortBin:
                 for i in range(rng.randint(1, 50))
             ]
             rng.shuffle(docs)
-            ordered = sort_bin(docs, descending=True)
+            ordered = sort_bin(docs)
             assert sorted(ordered, key=lambda d: d.id) == sorted(
                 docs, key=lambda d: d.id
             )  # permutation
@@ -116,10 +124,6 @@ class TestSortBin:
                 reverse=True,
             )  # stable two-pass reference sort
             assert ordered == reference
-
-    def test_ascending_mode(self):
-        docs = [_scored_doc(0, 9.0), _scored_doc(1, 5.0)]
-        assert [d.id for d in sort_bin(docs, descending=False)] == ["d0001", "d0000"]
 
 
 class TestWriteShards:
@@ -167,24 +171,25 @@ class TestRoundTrip:
         config = PackagingConfig(max_uncompressed_bytes=900)
         manifests = write_shards(docs, tmp_path, "eng_Latn", 8, config)
         assert len(manifests) > 1
-        paths = shard_paths(tmp_path, "eng_Latn", manifests)
-        assert read_shards(paths) == docs
+        assert _read_shards(tmp_path, manifests) == docs
 
-    def test_empty_set(self):
-        assert read_shards([]) == []
+    def test_empty_set(self, tmp_path):
+        assert package_corpus(Corpus([], "eng_Latn"), tmp_path) == []
+        assert json.loads((tmp_path / "eng_Latn" / "manifest.json").read_text()) == []
 
     def test_packaged_corpus_round_trip(self, tmp_path, rng):
         corpus = _scored_corpus(rng, 150)
         config = PackagingConfig(max_uncompressed_bytes=2000)
         manifests = package_corpus(corpus, tmp_path, config)
-        read_back = read_packaged_corpus(tmp_path, "eng_Latn")
+        stored = json.loads((tmp_path / "eng_Latn" / "manifest.json").read_text())
+        assert stored == [m.to_json() for m in manifests]
+        read_back = _read_shards(tmp_path, manifests)
         assert sorted(d.id for d in read_back) == sorted(d.id for d in corpus)
         # within each bin the concatenated shard order equals sort_bin order
         bins = assign_bins(corpus)
         for key, docs in bins.items():
             bin_manifests = [m for m in manifests if m.wds_bin == key]
-            paths = shard_paths(tmp_path, "eng_Latn", bin_manifests)
-            assert read_shards(paths) == sort_bin(docs)
+            assert _read_shards(tmp_path, bin_manifests) == sort_bin(docs)
 
     def test_manifest_file_written(self, tmp_path, rng):
         corpus = _scored_corpus(rng, 30)
@@ -200,16 +205,5 @@ class TestCorruption:
             b'{"id":"a","lang":"l","text":"x","wds":7.0}\n{"id":"b","lang":"l"}\n'
         ))
         with pytest.raises(DocumentError) as info:
-            read_shards([path])
+            read_documents(path)
         assert str(info.value) == f"{path}:2: missing required field 'text'"
-
-    def test_corrupt_frame_reports_file_and_offset(self, tmp_path):
-        docs = [_scored_doc(i, 7.0) for i in range(5)]
-        manifests = write_shards(docs, tmp_path, "eng_Latn", 7)
-        path = shard_paths(tmp_path, "eng_Latn", manifests)[0]
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])  # truncate mid-frame
-        with pytest.raises(ShardReadError) as info:
-            read_shards([path])
-        assert str(path) in str(info.value)
-        assert info.value.frame_offset == 0
